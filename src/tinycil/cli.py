@@ -37,7 +37,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DataFormatError) as exc:
+    except (ConfigError, DataFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrainingDiverged as exc:
@@ -193,13 +193,15 @@ def cmd_compare(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    steps = [r["n_classes"] for r in runs[0]["rows"]]
+    # runs may stop early (a diverged run keeps its finished steps): the
+    # longest one lists the steps, and missing cells stay empty
+    longest = max((r["rows"] for r in runs), key=len)
     header = ["step", "n_classes"] + [f"top1_{r['name']}" for r in runs]
     lines = [",".join(header)]
-    for i, row in enumerate(runs[0]["rows"]):
+    for i, row in enumerate(longest):
         cells = [str(row["step"]), str(row["n_classes"])]
         for run in runs:
-            cells.append(repr(run["rows"][i]["top1"]))
+            cells.append(repr(run["rows"][i]["top1"]) if i < len(run["rows"]) else "")
         lines.append(",".join(cells))
     (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
 
@@ -211,7 +213,8 @@ def cmd_compare(args) -> int:
         avg_excl = (average_incremental_accuracy(accs, include_initial=False)
                     if len(accs) > 1 else avg)
         avg_lines.append(f"{run['name']},{avg!r},{avg_excl!r}")
-        series.append((f"{run['name']} [{100 * avg:.2f}]", steps, accs))
+        series.append((f"{run['name']} [{100 * avg:.2f}]",
+                       [r["n_classes"] for r in run["rows"]], accs))
     (out_dir / "compare_averages.csv").write_text("\n".join(avg_lines) + "\n")
     write_line_chart_svg(out_dir / "compare.svg", series,
                          x_label="classes seen", y_label="top-1 accuracy")

@@ -117,13 +117,17 @@ def load_config(path) -> dict:
     """Read an INI config or a manifest JSON into a raw section->key dict."""
     with open(path) as f:
         text = f.read()
-    if text.lstrip().startswith("{"):
-        manifest = json.loads(text)
-        if "config" not in manifest:
-            raise ConfigError(f"{path}: JSON file has no 'config' section")
-        return manifest["config"]
-    parser = configparser.ConfigParser()
-    parser.read_string(text, source=str(path))
+    try:
+        if text.lstrip().startswith("{"):
+            manifest = json.loads(text)
+            config = manifest.get("config") if isinstance(manifest, dict) else None
+            if not isinstance(config, dict):
+                raise ConfigError(f"{path}: JSON file has no 'config' section")
+            return config
+        parser = configparser.ConfigParser()
+        parser.read_string(text, source=str(path))
+    except (json.JSONDecodeError, configparser.Error) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
     return {section: dict(parser.items(section))
             for section in parser.sections()}
 
@@ -183,7 +187,11 @@ def resolve_epochs_step(resolved: dict) -> int:
             "protocol.epoch_preset: cold_start requires initial_classes != "
             "total_classes / 2")
     if override not in ("", None):
-        return int(override)
+        try:
+            return int(override)
+        except ValueError:
+            raise ConfigError(
+                f"protocol.epochs_step: expected integer, got {override!r}") from None
     if preset == "auto":
         preset = "half_start" if half else "cold_start"
     return EPOCH_PRESETS[preset]
@@ -254,7 +262,12 @@ def build_train_settings(resolved: dict) -> TrainSettings:
 def build_model_spec(resolved: dict, image_size: int, channels: int,
                      num_classes: int | None = None) -> ModelSpec:
     m = resolved["model"]
-    channels_list = tuple(int(c) for c in str(m["stem_channels"]).split(",") if c)
+    try:
+        channels_list = tuple(int(c) for c in str(m["stem_channels"]).split(",") if c)
+    except ValueError:
+        raise ConfigError(
+            f"model.stem_channels: expected comma-separated integers, got "
+            f"{m['stem_channels']!r}") from None
     try:
         return ModelSpec(
             image_size=image_size, in_channels=channels,

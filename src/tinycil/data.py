@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .binio import Reader, pack_records
 from .errors import ConfigError, DataFormatError
-from .memory import BudgetPolicy
+from .memory import BudgetPolicy, per_class_budget
 from .rng import SplitMix64
 
 DATASET_MAGIC = b"CILD"
@@ -48,10 +49,11 @@ class ProtocolConfig:
                 f"(total_classes - initial_classes) = "
                 f"{self.total_classes - self.initial_classes} not divisible by "
                 f"increment {self.increment}")
-
-    @property
-    def num_steps(self) -> int:
-        return 1 + (self.total_classes - self.initial_classes) // self.increment
+        if min(self.epochs_initial, self.epochs_step) < 1:
+            raise ConfigError("epochs_initial and epochs_step must be >= 1")
+        if per_class_budget(self.budget, self.total_classes) < 1:
+            raise ConfigError(f"budget {self.budget} leaves no exemplar per "
+                              "class once every class is seen")
 
 
 @dataclass
@@ -133,22 +135,17 @@ def generate_synthetic(num_classes: int, per_class_train: int,
     per_class = per_class_train + per_class_test
     n = num_classes * per_class
     images = np.empty((n, channels, image_size, image_size), dtype=np.uint8)
-    labels = np.empty(n, dtype=np.int64)
-    train_idx, test_idx = [], []
-    pos = 0
     for cid in range(num_classes):
         proto = _prototype(proto_stream, channels, image_size)
         noise = noise_stream.normals((per_class, channels, image_size, image_size),
                                      std=NOISE_BASE_STD * difficulty)
         samples = np.clip(proto[None] + noise, 0.0, 1.0)
-        images[pos:pos + per_class] = np.round(samples * 255.0).astype(np.uint8)
-        labels[pos:pos + per_class] = cid
-        train_idx.extend(range(pos, pos + per_class_train))
-        test_idx.extend(range(pos + per_class_train, pos + per_class))
-        pos += per_class
-    return LabeledDataset(images=images, labels=labels,
-                          train_indices=np.array(train_idx, dtype=np.int64),
-                          test_indices=np.array(test_idx, dtype=np.int64),
+        images[cid * per_class:(cid + 1) * per_class] = \
+            np.round(samples * 255.0).astype(np.uint8)
+    in_class = np.arange(n) % per_class     # each class: train rows, then test
+    return LabeledDataset(images=images, labels=np.arange(n) // per_class,
+                          train_indices=np.flatnonzero(in_class < per_class_train),
+                          test_indices=np.flatnonzero(in_class >= per_class_train),
                           num_classes=num_classes)
 
 
@@ -158,79 +155,37 @@ def generate_synthetic(num_classes: int, per_class_train: int,
 def save_dataset(ds: LabeledDataset, path) -> None:
     n, c, h, w = ds.images.shape
     chunks = [DATASET_MAGIC, struct.pack("<H", DATASET_VERSION),
-              struct.pack("<IHHHH", n, h, w, c, ds.num_classes)]
-    for i in range(n):
-        chunks.append(struct.pack("<H", int(ds.labels[i])))
-        chunks.append(np.ascontiguousarray(ds.images[i], dtype=np.uint8).tobytes())
-    chunks.append(struct.pack("<I", len(ds.train_indices)))
-    chunks.append(ds.train_indices.astype("<u4").tobytes())
-    chunks.append(struct.pack("<I", len(ds.test_indices)))
-    chunks.append(ds.test_indices.astype("<u4").tobytes())
+              struct.pack("<IHHHH", n, h, w, c, ds.num_classes),
+              pack_records(ds.labels, ds.images)]
+    for idx in (ds.train_indices, ds.test_indices):
+        chunks.append(struct.pack("<I", len(idx)))
+        chunks.append(idx.astype("<u4").tobytes())
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 
 def load_dataset(path) -> LabeledDataset:
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def read(fmt, context=""):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise DataFormatError(
-                f"dataset truncated at byte {off}{context}")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    if blob[:4] != DATASET_MAGIC:
-        raise DataFormatError(f"bad magic in {path}: not a CILD dataset")
-    off = 4
-    (version,) = read("<H")
+    r = Reader(path, DATASET_MAGIC, "dataset")
+    (version,) = r.unpack("<H")
     if version != DATASET_VERSION:
         raise DataFormatError(f"unsupported dataset version {version}")
-    n, h, w, c, num_classes = read("<IHHHH")
-    pixels = c * h * w
-    images = np.empty((n, c, h, w), dtype=np.uint8)
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        (label,) = read("<H", context=f" (in record {i})")
-        if label >= num_classes:
-            raise DataFormatError(
-                f"label {label} out of range [0, {num_classes}) in record {i} "
-                f"at byte {off - 2}")
-        if off + pixels > len(blob):
-            raise DataFormatError(
-                f"dataset truncated at byte {off} (in record {i})")
-        images[i] = np.frombuffer(blob, dtype=np.uint8, count=pixels,
-                                  offset=off).reshape(c, h, w)
-        labels[i] = label
-        off += pixels
-
-    def read_index(name):
-        (count,) = read("<I", context=f" (in {name} index block)")
-        if off + 4 * count > len(blob):
-            raise DataFormatError(
-                f"dataset truncated at byte {off} (in {name} index block)")
-        idx = np.frombuffer(blob, dtype="<u4", count=count, offset=off).astype(np.int64)
+    n, h, w, c, num_classes = r.unpack("<IHHHH")
+    labels, images = r.records(n, (c, h, w), lambda y: y < num_classes)
+    splits = []
+    for name in ("train", "test"):
+        where = f" (in {name} index block)"
+        (count,) = r.unpack("<I", where)
+        idx = r.array("<u4", count, where)
         if count and idx.max() >= n:
             raise DataFormatError(
                 f"{name} index {int(idx.max())} out of range [0, {n})")
-        return idx, 4 * count
-
-    train_idx, consumed = read_index("train")
-    off += consumed
-    test_idx, consumed = read_index("test")
-    off += consumed
-    overlap = np.intersect1d(train_idx, test_idx)
-    if len(overlap):
-        raise DataFormatError(
-            f"train/test split overlaps at image index {int(overlap[0])}")
-    if len(train_idx) + len(test_idx) != n:
-        raise DataFormatError(
-            f"split covers {len(train_idx) + len(test_idx)} of {n} records")
-    return LabeledDataset(images=images, labels=labels,
-                          train_indices=train_idx, test_indices=test_idx,
+        splits.append(idx.astype(np.int64))
+    r.finish()
+    uses = np.bincount(np.concatenate(splits), minlength=n)
+    if (uses != 1).any():
+        i = int(np.argmax(uses != 1))
+        raise DataFormatError(f"train/test split overlaps or misses records: "
+                              f"image index {i} is listed {uses[i]} times")
+    return LabeledDataset(images=images.copy(), labels=labels.astype(np.int64),
+                          train_indices=splits[0], test_indices=splits[1],
                           num_classes=num_classes)

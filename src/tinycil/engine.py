@@ -31,6 +31,7 @@ from .tensor import Tensor
 
 LOG_EPS = 1e-12
 NORM_EPS = 1e-12
+EMBED_CHUNK = 512          # images per untaped eval-mode forward
 
 
 @dataclass
@@ -66,6 +67,9 @@ class TrainSettings:
             raise ConfigError("lambda_base must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.balanced_finetune and self.epochs_finetune < 1:
+            raise ConfigError(
+                "epochs_finetune must be >= 1 when balanced_finetune is on")
 
 
 @dataclass
@@ -174,17 +178,13 @@ def total_loss(ctx: StepContext, images: Tensor, targets: np.ndarray,
 # ---------------------------------------------------------------------------
 # parameter groups
 
-BACKBONE_GROUPS = ("backbone", "backbone_nodecay")
-CLASSIFIER_GROUPS = ("classifier", "classifier_nodecay")
-
-
 def _is_nodecay(name: str) -> bool:
     # normalization gains and the temperature are exempt from weight decay
     return name.endswith("gain") or name.endswith("temperature")
 
 
-def build_param_groups(state: ModelState, settings: TrainSettings,
-                       freeze_backbone: bool = False) -> list[ParamGroup]:
+def build_param_groups(state: ModelState,
+                       settings: TrainSettings) -> list[ParamGroup]:
     names = state.named_parameters()
     backbone = [n for n in names if n.startswith("backbone.")]
     classifier = [n for n in names if n.startswith("classifier.")]
@@ -192,10 +192,9 @@ def build_param_groups(state: ModelState, settings: TrainSettings,
     return [
         ParamGroup("backbone", [n for n in backbone if not _is_nodecay(n)],
                    base_lr=settings.backbone_lr,
-                   weight_decay=settings.weight_decay, frozen=freeze_backbone),
+                   weight_decay=settings.weight_decay),
         ParamGroup("backbone_nodecay", [n for n in backbone if _is_nodecay(n)],
-                   base_lr=settings.backbone_lr, weight_decay=0.0,
-                   frozen=freeze_backbone),
+                   base_lr=settings.backbone_lr, weight_decay=0.0),
         ParamGroup("classifier", [n for n in classifier if not _is_nodecay(n)],
                    base_lr=clf_lr, weight_decay=settings.weight_decay),
         ParamGroup("classifier_nodecay", [n for n in classifier if _is_nodecay(n)],
@@ -204,13 +203,13 @@ def build_param_groups(state: ModelState, settings: TrainSettings,
 
 
 def _schedule(groups: list[ParamGroup], settings: TrainSettings,
-              total_epochs: int, warmup: int, batch_size: int) -> ScheduleConfig:
+              total_epochs: int, warmup: int) -> ScheduleConfig:
     peaks = {g.name: g.base_lr for g in groups}
-    scaled = [lr * batch_size / 512 for lr in peaks.values()]
+    scaled = [lr * settings.batch_size / 512 for lr in peaks.values()]
     return ScheduleConfig(peak_lr=peaks, total_epochs=total_epochs,
                           warmup_epochs=min(warmup, max(total_epochs - 1, 0)),
                           min_lr=min([settings.min_lr] + scaled),
-                          batch_size=batch_size)
+                          batch_size=settings.batch_size)
 
 
 # ---------------------------------------------------------------------------
@@ -233,49 +232,26 @@ def _epoch_batches(n: int, batch_size: int, order_stream: SplitMix64):
         yield perm[start:start + batch_size]
 
 
-def run_stage1(ctx: StepContext) -> StageTrace:
-    """Train all parameters on replay + new data; returns per-epoch traces."""
-    settings = ctx.settings
-    images_u8, labels = _training_arrays(ctx)
-    n = len(labels)
-    num_classes = ctx.state.spec.num_classes
-    lam = adaptive_lambda(settings.lambda_base, len(ctx.old_class_ids),
-                          len(ctx.new_class_ids))
-
-    groups = build_param_groups(ctx.state, settings)
-    params = ctx.state.named_parameters()
-    opt = AdamW(params, groups, grad_clip=settings.grad_clip)
-    sched = _schedule(groups, settings, ctx.epochs_stage1,
-                      settings.warmup_epochs, settings.batch_size)
-    augment_stream = ctx.stream.child("augment")
-    order_stream = ctx.stream.child("order")
-
+def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
+                  sched: ScheduleConfig, n: int, order_stream: SplitMix64,
+                  batch_loss, stage: str) -> StageTrace:
+    """Train the `groups` parameters on `batch_loss(idx)`, the scalar loss of
+    rows `idx` of the stage's n rows, which runs on an active tape."""
+    state_params = ctx.state.named_parameters()
+    params = {name: state_params[name] for g in groups for name in g.param_names}
+    opt = AdamW(params, groups, grad_clip=ctx.settings.grad_clip)
     trace = StageTrace(loss_trace=[], eta_trace=[])
-    for epoch in range(ctx.epochs_stage1):
+    for epoch in range(sched.total_epochs):
         lrs = {g.name: lr_at_epoch(sched, g.name, epoch) for g in groups}
         epoch_losses = []
-        for batch_no, idx in enumerate(_epoch_batches(n, settings.batch_size,
+        for batch_no, idx in enumerate(_epoch_batches(n, ctx.settings.batch_size,
                                                       order_stream)):
-            raw = images_u8[idx].astype(np.float64) / 255.0
-            batch = augment_batch(raw, labels[idx], num_classes,
-                                  settings.augment, augment_stream)
-            f_old = None
-            if ctx.old_state is not None and lam > 0.0:
-                # constant: computed outside the tape, in eval mode
-                f_old = Tensor(forward_features(ctx.old_state,
-                                                Tensor(batch.images),
-                                                mode="eval").data)
             with T.Tape() as tape:
-                loss, dis_value = total_loss(ctx, Tensor(batch.images),
-                                             batch.targets,
-                                             hard_labels=labels[idx],
-                                             f_old=f_old, lam=lam)
-            if epoch == 0 and batch_no == 0:
-                trace.first_distill = dis_value
+                loss = batch_loss(idx)
             value = loss.item()
             if not math.isfinite(value):
                 raise TrainingDiverged(
-                    f"non-finite loss at step {ctx.step}, epoch {epoch}, "
+                    f"non-finite {stage} loss at step {ctx.step}, epoch {epoch}, "
                     f"batch {batch_no}", step=ctx.step, epoch=epoch,
                     batch=batch_no)
             T.backward(tape, loss)
@@ -288,11 +264,58 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     return trace
 
 
+def run_stage1(ctx: StepContext) -> StageTrace:
+    """Train all parameters on replay + new data; returns per-epoch traces."""
+    settings = ctx.settings
+    images_u8, labels = _training_arrays(ctx)
+    num_classes = ctx.state.spec.num_classes
+    lam = adaptive_lambda(settings.lambda_base, len(ctx.old_class_ids),
+                          len(ctx.new_class_ids))
+    groups = build_param_groups(ctx.state, settings)
+    sched = _schedule(groups, settings, ctx.epochs_stage1, settings.warmup_epochs)
+    augment_stream = ctx.stream.child("augment")
+    order_stream = ctx.stream.child("order")
+    distill_values = []
+
+    def batch_loss(idx):
+        raw = images_u8[idx].astype(np.float64) / 255.0
+        batch = augment_batch(raw, labels[idx], num_classes, settings.augment,
+                              augment_stream)
+        f_old = None
+        if ctx.old_state is not None and lam > 0.0:
+            # constant: the old model's parameters are untracked, eval mode
+            f_old = Tensor(forward_features(ctx.old_state, Tensor(batch.images),
+                                            mode="eval").data)
+        loss, dis_value = total_loss(ctx, Tensor(batch.images), batch.targets,
+                                     hard_labels=labels[idx], f_old=f_old,
+                                     lam=lam)
+        distill_values.append(dis_value)
+        return loss
+
+    trace = _train_epochs(ctx, groups, sched, len(labels), order_stream,
+                          batch_loss, stage="stage-1")
+    trace.first_distill = distill_values[0]
+    return trace
+
+
+def _embed(state: ModelState, images_u8: np.ndarray,
+           flip: bool = False) -> np.ndarray:
+    """Eval-mode features of uint8 images, optionally mirrored, in chunks."""
+    feats = []
+    for start in range(0, len(images_u8), EMBED_CHUNK):
+        chunk = images_u8[start:start + EMBED_CHUNK].astype(np.float64) / 255.0
+        if flip:
+            chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
+        feats.append(forward_features(state, Tensor(chunk), mode="eval").data)
+    return np.concatenate(feats, axis=0)
+
+
 def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     """Classifier-only training on the balanced exemplar set (CE only).
 
-    The backbone groups are frozen and features are extracted in eval mode,
-    so backbone parameters and batch-norm buffers stay bit-identical.
+    Eval-mode features are per-sample, so each exemplar (and its mirror image
+    when flips are on) is embedded once by the stage-1 backbone; batches pick
+    a view per row and train the cosine head alone on those cached features.
     """
     settings = ctx.settings
     counts = ctx.store.counts()
@@ -301,65 +324,40 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
             f"balanced finetune needs equal per-class exemplar counts, got {counts}")
     images_u8, orig_labels = ctx.store.as_arrays()
     labels = ctx.label_map[orig_labels]
-    n = len(labels)
     num_classes = ctx.state.spec.num_classes
+    feats = _embed(ctx.state, images_u8)
+    mirrored = (_embed(ctx.state, images_u8, flip=True)
+                if settings.augment.hflip else None)
 
-    finetune_settings = replace(settings,
-                                backbone_lr=settings.backbone_lr *
-                                settings.finetune_lr_scale)
-    groups = build_param_groups(ctx.state, finetune_settings,
-                                freeze_backbone=True)
-    params = ctx.state.named_parameters()
-    opt = AdamW(params, groups, grad_clip=settings.grad_clip)
-    sched = _schedule(groups, settings, settings.epochs_finetune, 0,
-                      settings.batch_size)
+    groups = build_param_groups(ctx.state, replace(
+        settings, backbone_lr=settings.backbone_lr * settings.finetune_lr_scale))
+    # every group sets min_lr (the scaled backbone peak may be the lowest);
+    # only the head trains
+    sched = _schedule(groups, settings, settings.epochs_finetune, 0)
+    head = [g for g in groups if g.name.startswith("classifier")]
     flip_stream = ctx.stream.child("finetune_flip")
     order_stream = ctx.stream.child("finetune_order")
 
-    trace = StageTrace(loss_trace=[], eta_trace=[])
-    for epoch in range(settings.epochs_finetune):
-        lrs = {g.name: lr_at_epoch(sched, g.name, epoch) for g in groups}
-        epoch_losses = []
-        for batch_no, idx in enumerate(_epoch_batches(n, settings.batch_size,
-                                                      order_stream)):
-            imgs = images_u8[idx].astype(np.float64) / 255.0
-            if settings.augment.hflip:
-                imgs = hflip(imgs, flip_stream.uniforms(len(idx)) < 0.5)
-            targets = one_hot(labels[idx], num_classes,
-                              smoothing=settings.augment.label_smoothing)
-            with T.Tape() as tape:
-                feats = forward_features(ctx.state, Tensor(imgs), mode="eval")
-                probs = cosine_logits(ctx.state, feats)
-                loss = cross_entropy(probs, targets)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite finetune loss at step {ctx.step}, epoch "
-                    f"{epoch}, batch {batch_no}", step=ctx.step, epoch=epoch,
-                    batch=batch_no)
-            T.backward(tape, loss)
-            opt.step(lrs)
-            zero_grads(params)
-            clamp_temperature(ctx.state)
-            epoch_losses.append(value)
-        trace.loss_trace.append(float(np.mean(epoch_losses)))
-        trace.eta_trace.append(ctx.state.temperature)
-    return trace
+    def batch_loss(idx):
+        batch = feats[idx]
+        if mirrored is not None:
+            flip = flip_stream.uniforms(len(idx)) < 0.5
+            batch[flip] = mirrored[idx[flip]]
+        targets = one_hot(labels[idx], num_classes,
+                          smoothing=settings.augment.label_smoothing)
+        return cross_entropy(cosine_logits(ctx.state, Tensor(batch)), targets)
+
+    return _train_epochs(ctx, head, sched, len(labels), order_stream,
+                         batch_loss, stage="finetune")
 
 
 def construct_exemplars(state: ModelState, dataset: LabeledDataset,
-                        class_ids, budget: int,
-                        batch_size: int = 512) -> dict[int, np.ndarray]:
+                        class_ids, budget: int) -> dict[int, np.ndarray]:
     """Herd each class's training images with the current (stage-1) model."""
     out: dict[int, np.ndarray] = {}
     for cid in class_ids:
         idx = dataset.class_indices("train", int(cid))
-        feats = []
-        for start in range(0, len(idx), batch_size):
-            chunk = dataset.images[idx[start:start + batch_size]]
-            chunk = chunk.astype(np.float64) / 255.0
-            feats.append(forward_features(state, Tensor(chunk), mode="eval").data)
-        f = np.concatenate(feats, axis=0)
+        f = _embed(state, dataset.images[idx])
         f = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), NORM_EPS)
         order = herding_select(f, budget)
         out[int(cid)] = dataset.images[idx[order]]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binio import Reader, pack_records
 from .errors import ConfigError, DataFormatError
 
 STORE_MAGIC = b"CILX"
@@ -83,9 +84,6 @@ class ExemplarStore:
     def class_ids(self) -> list[int]:
         return list(self._images)
 
-    def count(self, class_id: int) -> int:
-        return len(self._images[class_id])
-
     def counts(self) -> dict[int, int]:
         return {cid: len(imgs) for cid, imgs in self._images.items()}
 
@@ -121,14 +119,10 @@ class ExemplarStore:
 def save_store(store: ExemplarStore, path) -> None:
     """Serialize with the dataset record layout: (label u16, raw u8 pixels)."""
     ids = store.class_ids()
-    if ids:
-        c, h, w = store.images(ids[0]).shape[1:]
-    else:
-        c = h = w = 0
-    if isinstance(store.policy, PerClass):
-        policy_kind, amount = 0, store.policy.per_class
-    else:
-        policy_kind, amount = 1, store.policy.total
+    c, h, w = store.images(ids[0]).shape[1:] if ids else (0, 0, 0)
+    policy_kind, amount = ((0, store.policy.per_class)
+                           if isinstance(store.policy, PerClass)
+                           else (1, store.policy.total))
     chunks = [STORE_MAGIC, struct.pack("<H", STORE_VERSION),
               struct.pack("<BI", policy_kind, amount),
               struct.pack("<HHH", h, w, c),
@@ -136,52 +130,28 @@ def save_store(store: ExemplarStore, path) -> None:
     for cid in ids:
         imgs = store.images(cid)
         chunks.append(struct.pack("<HI", cid, len(imgs)))
-        for img in imgs:
-            chunks.append(struct.pack("<H", cid))
-            chunks.append(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
+        chunks.append(pack_records(np.full(len(imgs), cid), imgs))
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 
 def load_store(path) -> ExemplarStore:
-    with open(path, "rb") as f:
-        blob = f.read()
-    off = 0
-
-    def read(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        if off + size > len(blob):
-            raise DataFormatError(f"store file truncated at byte {off}")
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
-
-    if blob[:4] != STORE_MAGIC:
-        raise DataFormatError(f"bad magic in {path}: not an exemplar store")
-    off = 4
-    (version,) = read("<H")
+    r = Reader(path, STORE_MAGIC, "store file")
+    (version,) = r.unpack("<H")
     if version != STORE_VERSION:
         raise DataFormatError(f"unsupported store version {version}")
-    policy_kind, amount = read("<BI")
+    policy_kind, amount = r.unpack("<BI")
+    if policy_kind not in (0, 1):
+        raise DataFormatError(f"unknown budget policy kind {policy_kind}")
     policy: BudgetPolicy = PerClass(amount) if policy_kind == 0 else Total(amount)
-    h, w, c = read("<HHH")
-    (n_classes,) = read("<I")
+    h, w, c = r.unpack("<HHH")
+    (n_classes,) = r.unpack("<I")
     store = ExemplarStore(policy)
-    pixels = c * h * w
     for _ in range(n_classes):
-        cid, count = read("<HI")
-        imgs = np.empty((count, c, h, w), dtype=np.uint8)
-        for i in range(count):
-            (label,) = read("<H")
-            if label != cid:
-                raise DataFormatError(
-                    f"store record label {label} != class {cid} at byte {off}")
-            if off + pixels > len(blob):
-                raise DataFormatError(
-                    f"store file truncated in class {cid} record {i} at byte {off}")
-            imgs[i] = np.frombuffer(blob, dtype=np.uint8, count=pixels,
-                                    offset=off).reshape(c, h, w)
-            off += pixels
-        store._images[cid] = imgs
+        cid, count = r.unpack("<HI")
+        _, imgs = r.records(count, (c, h, w), lambda y: y == cid)
+        if cid in store._images:
+            raise DataFormatError(f"class {cid} stored twice")
+        store._images[cid] = imgs.copy()
+    r.finish()
     return store

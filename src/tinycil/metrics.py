@@ -10,7 +10,7 @@ JSON-lines plus a summary CSV whose bytes are reproducible from the seeds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -37,19 +37,9 @@ class StepReport:
     wall_clock: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "step": self.step,
-            "n_classes": self.n_classes,
-            "top1": self.top1,
-            "confusion": self.confusion.tolist(),
-            "bias_rate": self.bias_rate,
-            "eta": self.eta,
-            "loss_trace": self.loss_trace,
-            "eta_trace": self.eta_trace,
-            "finetune_loss_trace": self.finetune_loss_trace,
-            "first_distill": self.first_distill,
-            "wall_clock": self.wall_clock,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["confusion"] = self.confusion.tolist()
+        return d
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "StepReport":

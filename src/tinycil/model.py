@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .binio import Reader
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -56,6 +57,12 @@ class ModelSpec:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("image_size", "in_channels", "patch_size", "stem_depth",
+                     "embed_dim", "num_heads"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 < self.mlp_ratio < math.inf:
+            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if self.stem_kind not in ("patchify", "conv"):
             raise ConfigError(f"unknown stem_kind {self.stem_kind!r}")
         if self.embed_dim % self.num_heads != 0:
@@ -68,9 +75,10 @@ class ModelSpec:
                 raise ConfigError(
                     f"image_size {self.image_size} not divisible by patch_size {self.patch_size}")
         else:
-            if len(self.stem_channels) != self.stem_depth:
+            if len(self.stem_channels) != self.stem_depth or min(self.stem_channels) < 1:
                 raise ConfigError(
-                    f"stem_channels {list(self.stem_channels)} must list {self.stem_depth} layers")
+                    f"stem_channels {list(self.stem_channels)} must list "
+                    f"{self.stem_depth} positive layer widths")
             if self.stem_channels[-1] != self.embed_dim:
                 raise ConfigError(
                     f"last stem channel {self.stem_channels[-1]} must equal embed_dim {self.embed_dim}")
@@ -342,9 +350,8 @@ def save_checkpoint(state: ModelState, path) -> None:
     chunks.append(struct.pack("<IIB", spec.image_size, spec.in_channels,
                               0 if spec.stem_kind == "patchify" else 1))
     chunks.append(struct.pack("<II", spec.patch_size, spec.stem_depth))
-    chunks.append(struct.pack("<I", len(spec.stem_channels)))
-    for c in spec.stem_channels:
-        chunks.append(struct.pack("<I", c))
+    n_ch = len(spec.stem_channels)
+    chunks.append(struct.pack(f"<I{n_ch}I", n_ch, *spec.stem_channels))
     chunks.append(struct.pack("<IIIdI", spec.embed_dim, spec.num_blocks,
                               spec.num_heads, spec.mlp_ratio, spec.num_classes))
 
@@ -354,77 +361,53 @@ def save_checkpoint(state: ModelState, path) -> None:
     chunks.append(struct.pack("<I", len(entries)))
     for kind, name, arr in entries:
         raw = name.encode("utf-8")
-        chunks.append(struct.pack("<BH", kind, len(raw)))
-        chunks.append(raw)
-        chunks.append(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            chunks.append(struct.pack("<I", dim))
-        chunks.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        chunks += [struct.pack("<BH", kind, len(raw)), raw,
+                   struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                   np.ascontiguousarray(arr, dtype="<f8").tobytes()]
     with open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.off = 0
-
-    def read(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.off + size > len(self.blob):
-            raise DataFormatError(
-                f"checkpoint truncated at byte {self.off} (needed {size} more)")
-        vals = struct.unpack_from(fmt, self.blob, self.off)
-        self.off += size
-        return vals
-
-    def read_bytes(self, n: int) -> bytes:
-        if self.off + n > len(self.blob):
-            raise DataFormatError(
-                f"checkpoint truncated at byte {self.off} (needed {n} more)")
-        out = self.blob[self.off:self.off + n]
-        self.off += n
-        return out
-
-
 def load_checkpoint(path) -> ModelState:
-    with open(path, "rb") as f:
-        blob = f.read()
-    r = _Reader(blob)
-    if r.read_bytes(4) != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"bad magic in {path}: not a model checkpoint")
-    (version,) = r.read("<H")
+    r = Reader(path, CHECKPOINT_MAGIC, "checkpoint")
+    (version,) = r.unpack("<H")
     if version != CHECKPOINT_VERSION:
         raise DataFormatError(f"unsupported checkpoint version {version}")
-    image_size, in_channels, stem_code = r.read("<IIB")
-    patch_size, stem_depth = r.read("<II")
-    (n_ch,) = r.read("<I")
-    stem_channels = tuple(r.read("<I")[0] for _ in range(n_ch))
-    embed_dim, num_blocks, num_heads, mlp_ratio, num_classes = r.read("<IIIdI")
-    spec = ModelSpec(image_size=image_size, in_channels=in_channels,
-                     stem_kind="patchify" if stem_code == 0 else "conv",
-                     patch_size=patch_size, stem_depth=stem_depth,
-                     stem_channels=stem_channels, embed_dim=embed_dim,
-                     num_blocks=num_blocks, num_heads=num_heads,
-                     mlp_ratio=mlp_ratio, num_classes=num_classes)
-    (n_entries,) = r.read("<I")
-    backbone: dict[str, Tensor] = {}
-    classifier: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
+    image_size, in_channels, stem_code = r.unpack("<IIB")
+    if stem_code not in (0, 1):
+        raise DataFormatError(f"unknown stem code {stem_code}")
+    patch_size, stem_depth = r.unpack("<II")
+    (n_ch,) = r.unpack("<I")
+    stem_channels = tuple(int(c) for c in r.array("<u4", n_ch))
+    embed_dim, num_blocks, num_heads, mlp_ratio, num_classes = r.unpack("<IIIdI")
+    try:
+        spec = ModelSpec(image_size=image_size, in_channels=in_channels,
+                         stem_kind="patchify" if stem_code == 0 else "conv",
+                         patch_size=patch_size, stem_depth=stem_depth,
+                         stem_channels=stem_channels, embed_dim=embed_dim,
+                         num_blocks=num_blocks, num_heads=num_heads,
+                         mlp_ratio=mlp_ratio, num_classes=num_classes)
+    except ConfigError as exc:
+        raise DataFormatError(f"checkpoint spec is invalid: {exc}") from None
+    (n_entries,) = r.unpack("<I")
+    groups = {_KIND_BACKBONE: {}, _KIND_CLASSIFIER: {}, _KIND_BUFFER: {}}
     for _ in range(n_entries):
-        kind, name_len = r.read("<BH")
-        name = r.read_bytes(name_len).decode("utf-8")
-        (ndim,) = r.read("<B")
-        shape = tuple(r.read("<I")[0] for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(r.read_bytes(count * 8), dtype="<f8").reshape(shape).copy()
-        if kind == _KIND_BACKBONE:
-            backbone[name] = Tensor(arr, requires_grad=True)
-        elif kind == _KIND_CLASSIFIER:
-            classifier[name] = Tensor(arr, requires_grad=True)
-        elif kind == _KIND_BUFFER:
-            buffers[name] = arr
-        else:
-            raise DataFormatError(f"unknown entry kind {kind} at byte {r.off}")
-    return ModelState(spec=spec, backbone=backbone, classifier=classifier,
-                      buffers=buffers)
+        kind, name_len = r.unpack("<BH")
+        if kind not in groups:
+            raise DataFormatError(f"unknown entry kind {kind} at byte {r.off - 3}")
+        try:
+            name = r.array("u1", name_len).tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(
+                f"parameter name is not UTF-8 at byte {r.off - name_len}") from None
+        (ndim,) = r.unpack("<B")
+        shape = tuple(int(d) for d in r.array("<u4", ndim))
+        if ndim > 32 or 0 in shape:
+            raise DataFormatError(f"parameter {name!r} has shape {shape}")
+        arr = r.array("<f8", math.prod(shape)).reshape(shape).copy()
+        groups[kind][name] = (arr if kind == _KIND_BUFFER
+                              else Tensor(arr, requires_grad=True))
+    r.finish()
+    return ModelState(spec=spec, backbone=groups[_KIND_BACKBONE],
+                      classifier=groups[_KIND_CLASSIFIER],
+                      buffers=groups[_KIND_BUFFER])

@@ -1,9 +1,9 @@
 """AdamW with decoupled decay, parameter groups, and warmup-cosine schedule.
 
 Learning rates are stated at a reference batch size of 512 and scaled by
-batch_size/512 at schedule time. Groups partition the model's parameter
-names; frozen groups are skipped entirely (no moment updates either), which
-is how the balanced-finetune stage keeps the backbone bit-identical.
+batch_size/512 at schedule time. Groups partition the parameters the
+optimizer is given; a stage that trains part of the model (the balanced
+finetune trains only the classifier) passes only that part.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class ParamGroup:
     param_names: list[str]
     base_lr: float                 # at the reference batch size
     weight_decay: float = 0.0
-    frozen: bool = False
 
 
 @dataclass
@@ -116,28 +115,20 @@ class AdamW:
 
     def step(self, lrs: dict[str, float]) -> None:
         """One update; `lrs` maps group name to this step's learning rate."""
-        for group in self.groups:
-            if group.frozen:
-                continue
-            for name in group.param_names:
-                g = self.params[name].grad
-                if g is not None and not np.isfinite(g).all():
-                    raise TrainingDiverged(f"non-finite gradient in {name!r}")
+        for name, p in self.params.items():
+            if p.grad is not None and not np.isfinite(p.grad).all():
+                raise TrainingDiverged(f"non-finite gradient in {name!r}")
         if self.grad_clip > 0.0:
-            live = {n: self.params[n] for g in self.groups if not g.frozen
-                    for n in g.param_names}
-            norm = global_grad_norm(live)
+            norm = global_grad_norm(self.params)
             if norm > self.grad_clip:
                 scale = self.grad_clip / norm
-                for t in live.values():
+                for t in self.params.values():
                     if t.grad is not None:
                         t.grad = t.grad * scale
         self._t += 1
         bc1 = 1.0 - self.beta1 ** self._t
         bc2 = 1.0 - self.beta2 ** self._t
         for group in self.groups:
-            if group.frozen:
-                continue
             lr = lrs[group.name]
             for name in group.param_names:
                 p = self.params[name]

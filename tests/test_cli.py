@@ -113,6 +113,64 @@ def test_cli_rejects_invalid_config_exit_2(tmp_path, capsys):
     assert "margin_ranking" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("model", "stem_channels", "16,a"),
+    ("protocol", "epochs_step", "x"),
+])
+def test_unparsable_value_exit_2_names_key(tmp_path, capsys, section, key,
+                                           value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name,text", [
+    ("no_section.ini", "total_classes = 3\n"),
+    ("broken.json", '{"config": \n'),
+    ("no_config.json", '{"config": [1, 2]}\n'),
+    ("missing.ini", None),
+])
+def test_malformed_config_file_exit_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    if text is not None:
+        path.write_text(text)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_missing_data_file_exit_2(tmp_path, capsys):
+    path = tmp_path / "file.ini"
+    path.write_text(f"[data]\nsource = file\npath = {tmp_path / 'gone.cild'}\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "gone.cild" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,key,value,match", [
+    ("protocol", "epochs_initial", "0", "epochs_initial"),
+    ("protocol", "epochs_step", "0", "epochs_step"),
+    ("train", "epochs_finetune", "0", "epochs_finetune"),
+    ("protocol", "budget", "per_class:0", "budget"),
+    ("protocol", "budget", "total:5", "budget"),
+    ("protocol", "budget", "total:-1", "budget"),
+])
+def test_out_of_range_values_rejected(section, key, value, match):
+    raw = {"protocol": {"total_classes": "10", "initial_classes": "5",
+                        "increment": "5"},
+           "train": {"balanced_finetune": "on"}}
+    raw[section][key] = value
+    with pytest.raises(ConfigError, match=match):
+        materialize(raw)
+
+
+def test_finetune_epochs_unchecked_when_finetune_off():
+    materialize({"train": {"balanced_finetune": "off", "epochs_finetune": "0"}})
+
+
 # --- run ------------------------------------------------------------------------
 
 def test_run_writes_all_artifacts(config_path, tmp_path, capsys):
@@ -212,6 +270,25 @@ def test_compare_run_with_itself(config_path, tmp_path):
     assert "<polyline" in svg and "[" in svg
     avgs = (cmp_dir / "compare_averages.csv").read_text().splitlines()
     assert avgs[0] == "run,avg_inc_acc,avg_inc_acc_excl_initial"
+
+
+def test_compare_runs_of_different_lengths(config_path, tmp_path):
+    full = tmp_path / "full"
+    main(["run", "--config", str(config_path), "--out", str(full)])
+    partial = tmp_path / "partial"               # as a diverged run leaves it
+    partial.mkdir()
+    (partial / "manifest.json").write_bytes((full / "manifest.json").read_bytes())
+    summary = (full / "summary.csv").read_text().splitlines()
+    (partial / "summary.csv").write_text("\n".join(summary[:2]) + "\n")
+    for order in ([full, partial], [partial, full]):
+        cmp_dir = tmp_path / f"cmp_{order[0].name}"
+        assert main(["compare", *map(str, order), "--out", str(cmp_dir)]) == 0
+        table = [line.split(",") for line in
+                 (cmp_dir / "compare.csv").read_text().splitlines()]
+        assert [row[0] for row in table[1:]] == ["1", "2"]
+        assert table[1][2] == table[1][3]
+        cells = dict(zip([run.name for run in order], table[2][2:]))
+        assert cells["partial"] == "" and cells["full"] != ""
 
 
 def test_compare_protocol_mismatch(config_path, tmp_path):

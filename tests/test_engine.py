@@ -17,7 +17,8 @@ from tinycil.engine import (StepContext, TrainSettings, adaptive_lambda,
 from tinycil.errors import ConfigError
 from tinycil.memory import ExemplarStore, PerClass, Total, per_class_budget
 from tinycil.model import (ModelSpec, clone_state, cosine_scores,
-                           expand_classifier, init_model, state_hash)
+                           expand_classifier, forward_features, init_model,
+                           state_hash)
 from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
@@ -250,6 +251,39 @@ def test_finetune_backbone_bit_identical():
     assert state_hash(ctx.state, include_classifier=False) == backbone_before
     assert not np.array_equal(ctx.state.classifier["weight"].data,
                               classifier_before)
+
+
+@pytest.mark.parametrize("hflip,views", [(True, 2), (False, 1)])
+def test_finetune_embeds_each_exemplar_once_per_view(monkeypatch, hflip, views):
+    import tinycil.engine as engine
+    ctx = _finetuned_ctx(tiny_settings(
+        augment=AugmentConfig(hflip=hflip, label_smoothing=0.0)))
+    embedded = []
+
+    def counting(state, images, mode="eval"):
+        embedded.append(images.shape[0])
+        return forward_features(state, images, mode=mode)
+
+    monkeypatch.setattr(engine, "forward_features", counting)
+    run_balanced_finetune(ctx)
+    assert sum(embedded) == views * ctx.store.total_count()
+
+
+def test_finetune_leaves_backbone_grads_unset(monkeypatch):
+    from tinycil.optim import AdamW
+    ctx = _finetuned_ctx()
+    step = AdamW.step
+    grads_at_step = []
+
+    def checked(self, lrs):
+        grads_at_step.append([t.grad for t in ctx.state.backbone.values()])
+        step(self, lrs)
+
+    monkeypatch.setattr(AdamW, "step", checked)
+    run_balanced_finetune(ctx)
+    assert grads_at_step
+    assert all(g is None for grads in grads_at_step for g in grads)
+    assert all(t.grad is None for t in ctx.state.backbone.values())
 
 
 def test_finetune_rejects_unbalanced_store():

@@ -11,9 +11,9 @@ from tinycil.optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
 from tinycil.tensor import Tensor
 
 
-def _single(p, lr=1e-2, wd=0.0, frozen=False):
+def _single(p, lr=1e-2, wd=0.0):
     params = {"w": p}
-    groups = [ParamGroup("g", ["w"], base_lr=lr, weight_decay=wd, frozen=frozen)]
+    groups = [ParamGroup("g", ["w"], base_lr=lr, weight_decay=wd)]
     return params, AdamW(params, groups)
 
 
@@ -86,16 +86,6 @@ def test_first_step_is_signed_lr():
     p.grad = np.array([0.5, -0.3, 2.0, -1e-3])
     opt.step({"g": 1e-2})
     np.testing.assert_allclose(p.data, -1e-2 * np.sign(p.grad), rtol=1e-6)
-
-
-def test_frozen_group_bit_identical():
-    p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    params, opt = _single(p, wd=0.24, frozen=True)
-    before = p.data.copy()
-    for _ in range(5):
-        p.grad = np.ones(2)
-        opt.step({"g": 1e-2})
-    np.testing.assert_array_equal(p.data, before)
 
 
 def test_zero_lr_bit_identical():
