@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .rng import SplitMix64
 
 
@@ -25,6 +26,14 @@ class AugmentConfig:
     mixup_alpha: float = 0.8
     cutmix_alpha: float = 1.0
     mix_prob: float = 0.5           # chance a batch gets mixed at all
+
+    def __post_init__(self):
+        for name in ("mixup_alpha", "cutmix_alpha"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
+        for name in ("label_smoothing", "mix_prob"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must lie in [0, 1]")
 
     @property
     def uses_mixing(self) -> bool:

@@ -176,18 +176,24 @@ def _load_run(run_dir: Path) -> dict:
     if not manifest_path.exists() or not summary_path.exists():
         raise ConfigError(f"{run_dir}: not a run directory (need manifest.json "
                           "and summary.csv)")
-    manifest = json.loads(manifest_path.read_text())
-    rows = read_summary_csv(summary_path)
-    if not rows:
-        raise ConfigError(f"{run_dir}: empty summary.csv")
-    return {"name": run_dir.name, "manifest": manifest, "rows": rows}
+    try:
+        protocol = json.loads(manifest_path.read_text())["config"]["protocol"]
+    except (ValueError, LookupError, TypeError) as exc:
+        raise ConfigError(f"{manifest_path}: not a run manifest ({exc!r})") from None
+    try:
+        rows = read_summary_csv(summary_path)
+    except (ValueError, IndexError) as exc:
+        raise ConfigError(f"{summary_path}: malformed summary ({exc})") from None
+    if not rows or any({"step", "n_classes", "top1"} - row.keys() for row in rows):
+        raise ConfigError(f"{summary_path}: needs step, n_classes and top1 "
+                          "for at least one step")
+    return {"name": run_dir.name, "protocol": protocol, "rows": rows}
 
 
 def cmd_compare(args) -> int:
     runs = [_load_run(Path(d)) for d in args.run_dirs]
-    proto0 = runs[0]["manifest"]["config"]["protocol"]
     for run in runs[1:]:
-        if run["manifest"]["config"]["protocol"] != proto0:
+        if run["protocol"] != runs[0]["protocol"]:
             raise ConfigError(
                 f"protocol mismatch between {runs[0]['name']} and {run['name']}")
     out_dir = Path(args.out)

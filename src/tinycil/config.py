@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import configparser
 import json
+from dataclasses import fields
+
 from .augment import AugmentConfig
 from .data import ProtocolConfig
 from .engine import TrainSettings
@@ -21,6 +23,7 @@ from .model import ModelSpec
 # protocol needs 4x less step training than a cold start (50 vs 200 epochs
 # at full scale)
 EPOCH_PRESETS = {"half_start": 5, "cold_start": 20}
+_MARGIN_KEYS = ("margin_ranking", "margin", "margin_top_k")
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "protocol": {
@@ -54,63 +57,40 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "num_heads": 2,
         "mlp_ratio": 4.0,
     },
-    "train": {
-        "batch_size": 64,
-        "backbone_lr": 8e-3,
-        "classifier_lr_multiplier": 10.0,
-        "weight_decay": 0.24,
-        "warmup_epochs": 2,
-        "min_lr": 1e-5,
-        "lambda_base": 3.0,
-        "epochs_finetune": 20,
-        "finetune_lr_scale": 0.1,
-        "balanced_finetune": True,
-        "grad_clip": 0.0,
-        "eta_init": 10.0,
-    },
-    "augment": {
-        "hflip": True,
-        "mixup": True,
-        "cutmix": True,
-        "label_smoothing": 0.1,
-        "mixup_alpha": 0.8,
-        "cutmix_alpha": 1.0,
-        "mix_prob": 0.5,
-        "margin_ranking": False,
-        "margin": 0.5,
-        "margin_top_k": 2,
-    },
+    # [train] and [augment] are the TrainSettings and AugmentConfig fields;
+    # the INI file keeps the margin-ranking loss's keys under [augment]
+    "train": {f.name: f.default for f in fields(TrainSettings)
+              if f.name not in ("augment", *_MARGIN_KEYS)},
+    "augment": {f.name: f.default for f in fields(AugmentConfig)} | {
+        f.name: f.default for f in fields(TrainSettings) if f.name in _MARGIN_KEYS},
     "run": {
         "seed": 1,
         "out": "",
     },
 }
 
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_KINDS = {bool: "on/off", int: "integer", float: "number", str: "string"}
 
 
-def _parse_value(section: str, key: str, raw: str, default):
-    path = f"{section}.{key}"
-    raw = raw.strip()
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
-        raise ConfigError(f"{path}: expected on/off, got {raw!r}")
-    if isinstance(default, int):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: expected integer, got {raw!r}") from None
-    if isinstance(default, float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{path}: expected number, got {raw!r}") from None
-    return raw
+def _parse_value(section: str, key: str, value, default):
+    """An INI string or a manifest JSON value, as the type of its default."""
+    kind = type(default)
+    if isinstance(value, str):
+        value = value.strip()
+        if kind is bool:
+            value = _BOOLS.get(value.lower(), value)
+        elif kind is not str:
+            try:
+                value = kind(value)
+            except ValueError:
+                pass
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{section}.{key}: expected {_KINDS[kind]}, got {value!r}")
+    return value
 
 
 def load_config(path) -> dict:
@@ -134,23 +114,19 @@ def load_config(path) -> dict:
 
 def materialize(raw: dict) -> dict:
     """Apply defaults, parse types, and validate; returns the resolved config."""
-    resolved: dict[str, dict] = {}
     for section, keys in raw.items():
         if section not in DEFAULTS:
             raise ConfigError(f"unknown config section [{section}]")
+        if not isinstance(keys, dict):
+            raise ConfigError(f"config section [{section}] is not a table of keys")
         for key in keys:
             if key not in DEFAULTS[section]:
                 raise ConfigError(f"unknown config key {section}.{key}")
-    for section, defaults in DEFAULTS.items():
-        resolved[section] = {}
-        for key, default in defaults.items():
-            if section in raw and key in raw[section]:
-                value = raw[section][key]
-                if isinstance(value, str):
-                    value = _parse_value(section, key, value, default)
-                resolved[section][key] = value
-            else:
-                resolved[section][key] = default
+    resolved = {
+        section: {key: _parse_value(section, key, raw[section][key], default)
+                  if key in raw.get(section, {}) else default
+                  for key, default in defaults.items()}
+        for section, defaults in DEFAULTS.items()}
     _validate(resolved)
     return resolved
 
@@ -186,7 +162,7 @@ def resolve_epochs_step(resolved: dict) -> int:
         raise ConfigError(
             "protocol.epoch_preset: cold_start requires initial_classes != "
             "total_classes / 2")
-    if override not in ("", None):
+    if override:
         try:
             return int(override)
         except ValueError:
@@ -231,32 +207,11 @@ def build_protocol_config(resolved: dict) -> ProtocolConfig:
 
 
 def build_train_settings(resolved: dict) -> TrainSettings:
-    train = resolved["train"]
-    aug = resolved["augment"]
-    try:
-        augment = AugmentConfig(
-            hflip=aug["hflip"], mixup=aug["mixup"], cutmix=aug["cutmix"],
-            label_smoothing=aug["label_smoothing"],
-            mixup_alpha=aug["mixup_alpha"], cutmix_alpha=aug["cutmix_alpha"],
-            mix_prob=aug["mix_prob"])
-        return TrainSettings(
-            batch_size=train["batch_size"], backbone_lr=train["backbone_lr"],
-            classifier_lr_multiplier=train["classifier_lr_multiplier"],
-            weight_decay=train["weight_decay"],
-            warmup_epochs=train["warmup_epochs"], min_lr=train["min_lr"],
-            lambda_base=train["lambda_base"],
-            epochs_finetune=train["epochs_finetune"],
-            finetune_lr_scale=train["finetune_lr_scale"],
-            balanced_finetune=train["balanced_finetune"],
-            grad_clip=train["grad_clip"], eta_init=train["eta_init"],
-            margin_ranking=aug["margin_ranking"], margin=aug["margin"],
-            margin_top_k=aug["margin_top_k"], augment=augment)
-    except ConfigError as exc:
-        if "margin_ranking" in str(exc):
-            raise ConfigError(
-                "augment.margin_ranking conflicts with augment.mixup / "
-                "augment.cutmix: margin ranking needs hard labels") from None
-        raise ConfigError(f"train: {exc}") from None
+    """TrainSettings from the [train] and [augment] sections, by field name."""
+    aug = dict(resolved["augment"])
+    margins = {key: aug.pop(key) for key in _MARGIN_KEYS}
+    return TrainSettings(**resolved["train"], **margins,
+                         augment=AugmentConfig(**aug))
 
 
 def build_model_spec(resolved: dict, image_size: int, channels: int,

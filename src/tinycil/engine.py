@@ -25,7 +25,8 @@ from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
                     cosine_logits, cosine_scores, expand_classifier,
                     forward_features, init_model)
-from .optim import AdamW, ParamGroup, ScheduleConfig, lr_at_epoch, zero_grads
+from .optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
+                    scaled_base_lr, zero_grads)
 from .rng import SplitMix64
 from .tensor import Tensor
 
@@ -61,10 +62,20 @@ class TrainSettings:
     def validate(self) -> None:
         if self.margin_ranking and (self.augment.mixup or self.augment.cutmix):
             raise ConfigError(
-                "margin_ranking requires hard labels and conflicts with "
-                "augment.mixup/augment.cutmix; disable one side")
-        if self.lambda_base <= 0:
-            raise ConfigError("lambda_base must be positive")
+                "augment.margin_ranking conflicts with augment.mixup / "
+                "augment.cutmix: margin ranking needs hard labels")
+        for name in ("backbone_lr", "classifier_lr_multiplier", "weight_decay",
+                     "min_lr", "lambda_base", "finetune_lr_scale", "grad_clip",
+                     "eta_init", "margin"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
+        for name in ("backbone_lr", "classifier_lr_multiplier",
+                     "finetune_lr_scale", "weight_decay", "min_lr", "grad_clip"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
+        for name in ("lambda_base", "eta_init"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.balanced_finetune and self.epochs_finetune < 1:
@@ -205,7 +216,7 @@ def build_param_groups(state: ModelState,
 def _schedule(groups: list[ParamGroup], settings: TrainSettings,
               total_epochs: int, warmup: int) -> ScheduleConfig:
     peaks = {g.name: g.base_lr for g in groups}
-    scaled = [lr * settings.batch_size / 512 for lr in peaks.values()]
+    scaled = [scaled_base_lr(lr, settings.batch_size) for lr in peaks.values()]
     return ScheduleConfig(peak_lr=peaks, total_epochs=total_epochs,
                           warmup_epochs=min(warmup, max(total_epochs - 1, 0)),
                           min_lr=min([settings.min_lr] + scaled),

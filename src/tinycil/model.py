@@ -61,7 +61,10 @@ class ModelSpec:
                      "embed_dim", "num_heads"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0 < self.mlp_ratio < math.inf:
+        if self.num_blocks < 0:
+            raise ConfigError(f"num_blocks must be >= 0, got {self.num_blocks}")
+        # the product sizes the MLP hidden layer
+        if not 0 < self.mlp_ratio * self.embed_dim < math.inf:
             raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
         if self.stem_kind not in ("patchify", "conv"):
             raise ConfigError(f"unknown stem_kind {self.stem_kind!r}")
@@ -119,59 +122,67 @@ class ModelState:
         return out
 
 
-def init_model(spec: ModelSpec, stream: SplitMix64, eta_init: float = 10.0) -> ModelState:
-    """Fresh model; all weights drawn from the given stream in a fixed order."""
-    rng = stream.child("init")
+def layout(spec: ModelSpec):
+    """Yield `(kind, name, shape, init)` for every checkpoint entry, in file order.
+
+    The backbone comes first in init order, then the classifier weight and
+    temperature, then the batch-norm running buffers. `init` is "normal" (an
+    INIT_STD draw, taken from the init stream in this order), "zeros", "ones"
+    or "eta" (the initial temperature). Nothing is allocated, so a walk over
+    an absurd spec costs only the entries consumed.
+    """
     d = spec.embed_dim
-    backbone: dict[str, Tensor] = {}
-    buffers: dict[str, np.ndarray] = {}
-
-    def param(name, shape, std=INIT_STD):
-        backbone[name] = Tensor(rng.normals(shape, std=std), requires_grad=True)
-
-    def const(name, value):
-        backbone[name] = Tensor(value, requires_grad=True)
-
+    backbone, head, buffer = _KIND_BACKBONE, _KIND_CLASSIFIER, _KIND_BUFFER
     if spec.stem_kind == "patchify":
         pdim = spec.in_channels * spec.patch_size ** 2
-        param("stem.proj_weight", (pdim, d))
-        const("stem.proj_bias", np.zeros(d))
+        yield backbone, "stem.proj_weight", (pdim, d), "normal"
+        yield backbone, "stem.proj_bias", (d,), "zeros"
     else:
         c_in = spec.in_channels
         for i, c_out in enumerate(spec.stem_channels):
-            param(f"stem.conv{i}_kernel", (c_out, c_in, 3, 3))
-            const(f"stem.conv{i}_gain", np.ones(c_out))
-            const(f"stem.conv{i}_bias", np.zeros(c_out))
-            buffers[f"stem.conv{i}_running_mean"] = np.zeros(c_out)
-            buffers[f"stem.conv{i}_running_var"] = np.ones(c_out)
+            yield backbone, f"stem.conv{i}_kernel", (c_out, c_in, 3, 3), "normal"
+            yield backbone, f"stem.conv{i}_gain", (c_out,), "ones"
+            yield backbone, f"stem.conv{i}_bias", (c_out,), "zeros"
             c_in = c_out
-
-    param("cls_token", (1, 1, d))
-    param("pos_embed", (1, spec.token_count + 1, d))
+    yield backbone, "cls_token", (1, 1, d), "normal"
+    yield backbone, "pos_embed", (1, spec.token_count + 1, d), "normal"
     hidden = int(round(spec.mlp_ratio * d))
+    block = (("ln1_gain", (d,), "ones"), ("ln1_bias", (d,), "zeros"),
+             ("qkv_weight", (d, 3 * d), "normal"), ("qkv_bias", (3 * d,), "zeros"),
+             ("proj_weight", (d, d), "normal"), ("proj_bias", (d,), "zeros"),
+             ("ln2_gain", (d,), "ones"), ("ln2_bias", (d,), "zeros"),
+             ("mlp1_weight", (d, hidden), "normal"), ("mlp1_bias", (hidden,), "zeros"),
+             ("mlp2_weight", (hidden, d), "normal"), ("mlp2_bias", (d,), "zeros"))
     for i in range(spec.num_blocks):
-        const(f"block{i}.ln1_gain", np.ones(d))
-        const(f"block{i}.ln1_bias", np.zeros(d))
-        param(f"block{i}.qkv_weight", (d, 3 * d))
-        const(f"block{i}.qkv_bias", np.zeros(3 * d))
-        param(f"block{i}.proj_weight", (d, d))
-        const(f"block{i}.proj_bias", np.zeros(d))
-        const(f"block{i}.ln2_gain", np.ones(d))
-        const(f"block{i}.ln2_bias", np.zeros(d))
-        param(f"block{i}.mlp1_weight", (d, hidden))
-        const(f"block{i}.mlp1_bias", np.zeros(hidden))
-        param(f"block{i}.mlp2_weight", (hidden, d))
-        const(f"block{i}.mlp2_bias", np.zeros(d))
-    const("final_norm_gain", np.ones(d))
-    const("final_norm_bias", np.zeros(d))
+        for name, shape, init in block:
+            yield backbone, f"block{i}.{name}", shape, init
+    yield backbone, "final_norm_gain", (d,), "ones"
+    yield backbone, "final_norm_bias", (d,), "zeros"
+    yield head, "weight", (spec.num_classes, d), "normal"
+    yield head, "temperature", (1,), "eta"
+    if spec.stem_kind == "conv":
+        for i, c in enumerate(spec.stem_channels):
+            yield buffer, f"stem.conv{i}_running_mean", (c,), "zeros"
+            yield buffer, f"stem.conv{i}_running_var", (c,), "ones"
 
-    classifier = {
-        "weight": Tensor(rng.normals((spec.num_classes, d), std=INIT_STD),
-                         requires_grad=True),
-        "temperature": Tensor(np.array([eta_init]), requires_grad=True),
-    }
-    return ModelState(spec=spec, backbone=backbone, classifier=classifier,
-                      buffers=buffers)
+
+def _state(spec: ModelSpec, entries) -> ModelState:
+    """ModelState from `(kind, name, array)` triples; parameters get tracked."""
+    groups = ({}, {}, {})                # indexed by entry kind
+    for kind, name, arr in entries:
+        groups[kind][name] = (arr if kind == _KIND_BUFFER
+                              else Tensor(arr, requires_grad=True))
+    return ModelState(spec, *groups)
+
+
+def init_model(spec: ModelSpec, stream: SplitMix64, eta_init: float = 10.0) -> ModelState:
+    """Fresh model; all weights drawn from the given stream in layout order."""
+    rng = stream.child("init")
+    fill = {"zeros": 0.0, "ones": 1.0, "eta": eta_init}
+    return _state(spec, (
+        (kind, name, rng.normals(shape, std=INIT_STD) if init == "normal"
+         else np.full(shape, fill[init], dtype=np.float64))
+        for kind, name, shape, init in layout(spec)))
 
 
 # ---------------------------------------------------------------------------
@@ -390,24 +401,30 @@ def load_checkpoint(path) -> ModelState:
     except ConfigError as exc:
         raise DataFormatError(f"checkpoint spec is invalid: {exc}") from None
     (n_entries,) = r.unpack("<I")
-    groups = {_KIND_BACKBONE: {}, _KIND_CLASSIFIER: {}, _KIND_BUFFER: {}}
-    for _ in range(n_entries):
-        kind, name_len = r.unpack("<BH")
-        if kind not in groups:
-            raise DataFormatError(f"unknown entry kind {kind} at byte {r.off - 3}")
+    # walk the layout in step with the file: each header must be the next
+    # expected entry before its data is read
+    entries = []
+    for kind, name, shape, _ in layout(spec):
+        if len(entries) == n_entries:
+            raise DataFormatError(
+                f"checkpoint ends after {n_entries} entries: {name!r} is missing")
+        at = r.off
+        got_kind, name_len = r.unpack("<BH")
         try:
-            name = r.array("u1", name_len).tobytes().decode("utf-8")
+            got_name = r.array("u1", name_len).tobytes().decode("utf-8")
         except UnicodeDecodeError:
             raise DataFormatError(
                 f"parameter name is not UTF-8 at byte {r.off - name_len}") from None
         (ndim,) = r.unpack("<B")
-        shape = tuple(int(d) for d in r.array("<u4", ndim))
-        if ndim > 32 or 0 in shape:
-            raise DataFormatError(f"parameter {name!r} has shape {shape}")
+        got = (got_kind, got_name, tuple(int(n) for n in r.array("<u4", ndim)))
+        if got != (kind, name, shape):
+            raise DataFormatError(
+                f"checkpoint entry at byte {at} is {got}, expected "
+                f"{(kind, name, shape)}")
         arr = r.array("<f8", math.prod(shape)).reshape(shape).copy()
-        groups[kind][name] = (arr if kind == _KIND_BUFFER
-                              else Tensor(arr, requires_grad=True))
+        entries.append((kind, name, arr))
+    if n_entries != len(entries):
+        raise DataFormatError(
+            f"checkpoint has {n_entries} entries, its spec has {len(entries)}")
     r.finish()
-    return ModelState(spec=spec, backbone=groups[_KIND_BACKBONE],
-                      classifier=groups[_KIND_CLASSIFIER],
-                      buffers=groups[_KIND_BUFFER])
+    return _state(spec, entries)

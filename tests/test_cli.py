@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from tinycil.cli import main
-from tinycil.config import (DEFAULTS, load_config, materialize,
-                            resolve_epochs_step)
+from tinycil.config import (DEFAULTS, build_train_settings, load_config,
+                            materialize, resolve_epochs_step)
 from tinycil.data import load_dataset
+from tinycil.engine import TrainSettings
 from tinycil.errors import ConfigError
 from tinycil.memory import load_store
 from tinycil.model import load_checkpoint
@@ -68,6 +69,10 @@ def test_materialize_fills_all_defaults(config_path):
         assert set(resolved[section]) == set(keys)
     assert resolved["train"]["weight_decay"] == 0.24
     assert resolved["run"]["seed"] == 5
+
+
+def test_defaults_are_the_dataclass_defaults():
+    assert build_train_settings(materialize({})) == TrainSettings()
 
 
 def test_unknown_key_rejected_with_path(tmp_path):
@@ -142,6 +147,33 @@ def test_malformed_config_file_exit_2(tmp_path, capsys, name, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "batch_size", 1.5),
+    ("train", "batch_size", True),
+    ("protocol", "budget", 5),
+    ("train", "min_lr", None),
+    ("augment", "hflip", 2),
+])
+def test_manifest_value_of_wrong_type_exit_2(tmp_path, capsys, section, key,
+                                              value):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"config": {section: {key: value}}}))
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_section_not_a_table_rejected():
+    with pytest.raises(ConfigError, match=r"\[train\]"):
+        materialize({"train": 5})
+
+
+def test_manifest_int_for_float_key_is_a_float():
+    value = materialize({"train": {"min_lr": 0}})["train"]["min_lr"]
+    assert value == 0.0 and type(value) is float
+
+
 def test_missing_data_file_exit_2(tmp_path, capsys):
     path = tmp_path / "file.ini"
     path.write_text(f"[data]\nsource = file\npath = {tmp_path / 'gone.cild'}\n")
@@ -157,12 +189,28 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("protocol", "budget", "per_class:0", "budget"),
     ("protocol", "budget", "total:5", "budget"),
     ("protocol", "budget", "total:-1", "budget"),
+    ("model", "num_blocks", "-1", "num_blocks"),
+    ("augment", "mixup_alpha", "0", "mixup_alpha"),
+    ("augment", "cutmix_alpha", "-1", "cutmix_alpha"),
+    ("augment", "cutmix_alpha", "inf", "cutmix_alpha"),
+    ("augment", "label_smoothing", "2", "label_smoothing"),
+    ("augment", "mix_prob", "-0.5", "mix_prob"),
+    ("train", "backbone_lr", "nan", "backbone_lr"),
+    ("train", "classifier_lr_multiplier", "nan", "classifier_lr_multiplier"),
+    ("train", "eta_init", "nan", "eta_init"),
+    ("train", "eta_init", "0", "eta_init"),
+    ("train", "backbone_lr", "-1", "backbone_lr"),
+    ("train", "classifier_lr_multiplier", "-1", "classifier_lr_multiplier"),
+    ("train", "finetune_lr_scale", "-1", "finetune_lr_scale"),
+    ("train", "weight_decay", "-1", "weight_decay"),
+    ("train", "min_lr", "-1", "min_lr"),
+    ("train", "grad_clip", "-1", "grad_clip"),
 ])
 def test_out_of_range_values_rejected(section, key, value, match):
     raw = {"protocol": {"total_classes": "10", "initial_classes": "5",
                         "increment": "5"},
            "train": {"balanced_finetune": "on"}}
-    raw[section][key] = value
+    raw.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=match):
         materialize(raw)
 
@@ -300,6 +348,21 @@ def test_compare_protocol_mismatch(config_path, tmp_path):
     main(["run", "--config", str(other), "--out", str(out2)])
     assert main(["compare", str(out1), str(out2),
                  "--out", str(tmp_path / "c")]) == 2
+
+
+@pytest.mark.parametrize("name,text", [
+    ("summary.csv", "step,n_classes,top1\n1,2,abc\n"),
+    ("manifest.json", "{not json"),
+    ("manifest.json", '{"seeds": {"run": 1}}'),
+])
+def test_compare_malformed_run_dir_exit_2(tmp_path, capsys, name, text):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "manifest.json").write_text('{"config": {"protocol": {}}}')
+    (run / "summary.csv").write_text("step,n_classes,top1\n1,2,0.5\n")
+    (run / name).write_text(text)
+    assert main(["compare", str(run), "--out", str(tmp_path / "c")]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_compare_empty_dir_fails(tmp_path):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from tinycil.data import generate_synthetic, load_dataset, save_dataset
 from tinycil.errors import DataFormatError
 from tinycil.memory import ExemplarStore, Total, load_store, save_store
-from tinycil.model import ModelSpec, init_model, load_checkpoint, save_checkpoint
+from tinycil.model import (ModelSpec, forward_features, init_model,
+                           load_checkpoint, save_checkpoint)
 from tinycil.rng import SplitMix64
+from tinycil.tensor import Tensor
 
 
 def _cild(path):
@@ -27,11 +30,15 @@ def _cilx(path):
     save_store(store, path)
 
 
-def _cilm(path):
+def _cilm_state():
     spec = ModelSpec(image_size=4, stem_kind="conv", stem_depth=1,
                      stem_channels=(4,), embed_dim=4, num_blocks=1,
                      num_heads=1, mlp_ratio=1.0, num_classes=2)
-    save_checkpoint(init_model(spec, SplitMix64(3)), path)
+    return init_model(spec, SplitMix64(3))
+
+
+def _cilm(path):
+    save_checkpoint(_cilm_state(), path)
 
 
 FORMATS = {"cild": (_cild, load_dataset), "cilx": (_cilx, load_store),
@@ -62,23 +69,55 @@ def test_checkpoint_name_not_utf8(tmp_path):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("case,match", [
+    ("flipped_name", "expected"),     # stem.conv0_kernel -> stem.bonv0_kernel
+    ("wrong_shape", "expected"),
+    ("missing_last", "missing"),
+    ("extra_entry", "entries"),
+])
+def test_checkpoint_off_layout_rejected(tmp_path, case, match):
+    """Entries must follow the spec's layout, name and shape, one for one."""
+    state = _cilm_state()
+    if case == "wrong_shape":
+        state.backbone["cls_token"] = Tensor(np.zeros((1, 1, 5)))
+    elif case == "missing_last":
+        state.buffers.popitem()
+    elif case == "extra_entry":
+        state.buffers["stem.conv0_extra"] = np.zeros(4)
+    path = tmp_path / "off.cilm"
+    save_checkpoint(state, path)
+    if case == "flipped_name":
+        blob = bytearray(path.read_bytes())
+        blob[blob.index(b"stem.conv0_kernel") + len("stem.")] ^= 1
+        path.write_bytes(bytes(blob))
+    with pytest.raises(DataFormatError, match=match):
+        load_checkpoint(path)
+
+
 def _loads_or_rejects(fmt: str, path, blob: bytes) -> None:
     """Load a corrupt file: it may load or raise DataFormatError, nothing else.
 
     Peak traced memory must stay within the file itself, one copy of its
     payload and fixed bookkeeping: a count or shape that escaped the bounds
-    check would ask for far more.
+    check would ask for far more. A checkpoint that loads must also run a
+    forward pass: its entries match what the model reads.
     """
     path.write_bytes(blob)
+    loaded = None
     tracemalloc.start()
     try:
-        FORMATS[fmt][1](path)
+        loaded = FORMATS[fmt][1](path)
     except DataFormatError:
         pass
     finally:
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     assert peak <= 4 * len(blob) + (64 << 10)
+    if fmt == "cilm" and loaded is not None:
+        spec = loaded.spec
+        images = np.zeros((1, spec.in_channels, spec.image_size, spec.image_size))
+        with np.errstate(all="ignore"):         # flipped values may be NaN
+            forward_features(loaded, images)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

@@ -253,6 +253,15 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, stem):
         M.forward_features(loaded, imgs, mode="eval").data)
 
 
+def test_zero_blocks_valid(tmp_path):
+    spec = toy_spec(num_blocks=0)
+    state = M.init_model(spec, SplitMix64(21))
+    M.save_checkpoint(state, tmp_path / "model.cilm")
+    loaded = M.load_checkpoint(tmp_path / "model.cilm")
+    assert M.state_hash(loaded) == M.state_hash(state)
+    assert M.forward_features(loaded, toy_images(2, spec)).shape == (2, 32)
+
+
 def test_checkpoint_bad_magic(tmp_path):
     path = tmp_path / "bad.cilm"
     path.write_bytes(b"NOPE" + b"\x00" * 64)
