@@ -1,4 +1,5 @@
-"""The one bounds-checked reader behind the CILD, CILX and CILM formats.
+"""The one bounds-checked reader behind the CILD, CILX and CILM formats,
+and the one atomic writer behind every run artifact.
 
 Each read is checked, in Python ints, against the bytes left before anything
 is allocated, and a file must be consumed exactly. CILD and CILX share the
@@ -7,7 +8,9 @@ image record `(label <u2, pixels u1[c*h*w])`, defined once in `record_dtype`.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -26,6 +29,27 @@ def pack_records(labels: np.ndarray, images: np.ndarray) -> bytes:
     records["label"] = labels
     records["pixels"] = images.reshape(n, pixels)
     return records.tobytes()
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Open a temp file beside `path` for writing; it replaces `path` on exit.
+
+    `os.replace` swaps the file in whole, so a reader never sees a partly
+    written file. If the block raises, the temp file is removed and `path`
+    keeps its previous content. This guards against a run dying mid-write,
+    not against power loss: nothing is fsynced.
+    """
+    path = os.fspath(path)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 class Reader:

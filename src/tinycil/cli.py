@@ -17,6 +17,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
+from .binio import atomic_open
 from .config import (build_model_spec, build_protocol_config,
                      build_train_settings, load_config, materialize)
 from .data import generate_synthetic, load_dataset, save_dataset
@@ -86,6 +87,11 @@ def _build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # run
 
+def _write_text(path, text: str) -> None:
+    with atomic_open(path) as f:
+        f.write(text)
+
+
 def _default_out_dir(config_path: str, seed: int) -> Path:
     root = Path(os.environ.get(OUT_ROOT_ENV, "runs"))
     stamp = time.strftime("%Y%m%d-%H%M%S")
@@ -129,7 +135,7 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
         "outputs": {"reports": "steps.jsonl", "summary": "summary.csv",
                     "checkpoints": "checkpoints", "exemplars": "exemplars.cilx"},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
 
     reports = []
 
@@ -149,7 +155,7 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
                      step_callback=on_step)
     finally:
         manifest["finished"] = datetime.now(timezone.utc).isoformat()
-        (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
     return reports
 
 
@@ -209,7 +215,7 @@ def cmd_compare(args) -> int:
         for run in runs:
             cells.append(repr(run["rows"][i]["top1"]) if i < len(run["rows"]) else "")
         lines.append(",".join(cells))
-    (out_dir / "compare.csv").write_text("\n".join(lines) + "\n")
+    _write_text(out_dir / "compare.csv", "\n".join(lines) + "\n")
 
     avg_lines = ["run,avg_inc_acc,avg_inc_acc_excl_initial"]
     series = []
@@ -221,7 +227,7 @@ def cmd_compare(args) -> int:
         avg_lines.append(f"{run['name']},{avg!r},{avg_excl!r}")
         series.append((f"{run['name']} [{100 * avg:.2f}]",
                        [r["n_classes"] for r in run["rows"]], accs))
-    (out_dir / "compare_averages.csv").write_text("\n".join(avg_lines) + "\n")
+    _write_text(out_dir / "compare_averages.csv", "\n".join(avg_lines) + "\n")
     write_line_chart_svg(out_dir / "compare.svg", series,
                          x_label="classes seen", y_label="top-1 accuracy")
     print(f"compared {len(runs)} runs -> {out_dir}")
@@ -268,7 +274,7 @@ def cmd_ablate(args) -> int:
         grid.append(f"{arm_name},{avg!r},{reports[-1].top1!r},"
                     f"{reports[-1].eta!r}")
         run_dirs.append(str(arm_dir))
-    (out_dir / "ablation.csv").write_text("\n".join(grid) + "\n")
+    _write_text(out_dir / "ablation.csv", "\n".join(grid) + "\n")
     cmd_compare(argparse.Namespace(run_dirs=run_dirs, out=str(out_dir)))
     print(f"ablation grid -> {out_dir / 'ablation.csv'}")
     return 0
@@ -351,7 +357,7 @@ def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
         parts.append(f'<text x="{ml + plot_w + 35}" y="{ly}" font-size="11">'
                      f"{label}</text>")
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import math
 from dataclasses import fields
 
 from .augment import AugmentConfig
@@ -183,6 +184,10 @@ def _validate(resolved: dict) -> None:
             f"{resolved['data']['source']!r}")
     if resolved["data"]["source"] == "file" and not resolved["data"]["path"]:
         raise ConfigError("data.path: required when data.source = file")
+    difficulty = resolved["data"]["difficulty"]
+    if not (math.isfinite(difficulty) and difficulty >= 0):
+        raise ConfigError(
+            f"data.difficulty: expected a finite number >= 0, got {difficulty!r}")
     if resolved["model"]["stem"] not in ("conv", "patchify"):
         raise ConfigError(
             f"model.stem: expected conv|patchify, got {resolved['model']['stem']!r}")

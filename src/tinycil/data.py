@@ -9,12 +9,13 @@ offsets.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binio import Reader, pack_records
+from .binio import Reader, atomic_open, pack_records
 from .errors import ConfigError, DataFormatError
 from .memory import BudgetPolicy, per_class_budget
 from .rng import SplitMix64
@@ -129,6 +130,8 @@ def generate_synthetic(num_classes: int, per_class_train: int,
     """Deterministic toy dataset: class prototypes plus scaled noise."""
     if min(num_classes, per_class_train, per_class_test, image_size) < 1:
         raise ConfigError("all synthetic dataset counts must be >= 1")
+    if not (math.isfinite(difficulty) and difficulty >= 0):
+        raise ConfigError(f"difficulty must be finite and >= 0, got {difficulty!r}")
     root = SplitMix64(seed)
     proto_stream = root.child("prototypes")
     noise_stream = root.child("noise")
@@ -160,7 +163,7 @@ def save_dataset(ds: LabeledDataset, path) -> None:
     for idx in (ds.train_indices, ds.test_indices):
         chunks.append(struct.pack("<I", len(idx)))
         chunks.append(idx.astype("<u4").tobytes())
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 

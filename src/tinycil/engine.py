@@ -78,6 +78,8 @@ class TrainSettings:
                 raise ConfigError(f"{name} must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
+        if self.margin_top_k < 1:
+            raise ConfigError("augment.margin_top_k must be >= 1")
         if self.balanced_finetune and self.epochs_finetune < 1:
             raise ConfigError(
                 "epochs_finetune must be >= 1 when balanced_finetune is on")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Reader, pack_records
+from .binio import Reader, atomic_open, pack_records
 from .errors import ConfigError, DataFormatError
 
 STORE_MAGIC = b"CILX"
@@ -131,7 +131,7 @@ def save_store(store: ExemplarStore, path) -> None:
         imgs = store.images(cid)
         chunks.append(struct.pack("<HI", cid, len(imgs)))
         chunks.append(pack_records(np.full(len(imgs), cid), imgs))
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .binio import atomic_open
 from .errors import ConfigError
 from .model import ModelState, cosine_logits, forward_features
 from .tensor import Tensor
@@ -114,7 +115,7 @@ def _fmt(x) -> str:
 
 
 def write_reports_jsonl(reports: list[StepReport], path) -> None:
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         for r in reports:
             f.write(json.dumps(r.to_json_dict(), sort_keys=True) + "\n")
 
@@ -138,7 +139,7 @@ def write_summary_csv(reports: list[StepReport], path) -> None:
         lines.append(",".join([
             str(r.step), str(r.n_classes), _fmt(r.top1), _fmt(r.bias_rate),
             _fmt(r.eta), _fmt(avg)]))
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("\n".join(lines) + "\n")
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .binio import Reader
+from .binio import Reader, atomic_open
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -375,7 +375,7 @@ def save_checkpoint(state: ModelState, path) -> None:
         chunks += [struct.pack("<BH", kind, len(raw)), raw,
                    struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
                    np.ascontiguousarray(arr, dtype="<f8").tobytes()]
-    with open(path, "wb") as f:
+    with atomic_open(path, "wb") as f:
         f.write(b"".join(chunks))
 
 

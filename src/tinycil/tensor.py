@@ -2,13 +2,20 @@
 
 The op set is deliberately closed: exactly what a micro vision transformer
 with patchify/conv stems, a cosine head, and its losses need. Arrays are
-numpy throughout; the tape is a flat append-only list of nodes, walked once
-in reverse. Gradients accumulate additively within a single backward pass;
-running backward twice on the same tape raises.
+numpy throughout; the tape is a flat list of nodes, and each node is
+released as backward consumes it, so a batch's activations and backward
+closures die by refcount during the pass and no tape outlives its batch.
+Gradients accumulate additively within a single backward pass; running
+backward twice on the same tape raises.
+
+Importing this module raises glibc's heap top pad (see `_M_TOP_PAD`).
+Without it, the heap top that one batch frees is trimmed back to the kernel
+and the next batch's forward faults the same pages in again.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -20,6 +27,29 @@ _TAPE_STACK: list["Tape"] = []
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# mallopt(M_TOP_PAD): bytes glibc keeps above the heap top when it trims, and
+# asks for in addition when it grows the heap. 256 MiB holds the freed tape
+# of a batch for the next one, and leaves room at the top for arrays above
+# the mmap threshold, which would otherwise be mapped and unmapped one by
+# one. Setting M_TRIM_THRESHOLD alone pins that threshold at 128 KiB and
+# faults far more; M_MMAP_THRESHOLD alone still trims. Pages of the pad that
+# are never touched take no memory.
+_M_TOP_PAD = -2
+_TOP_PAD_BYTES = 256 << 20
+
+
+def _keep_freed_heap_top() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return                  # not glibc: keep the C library's behaviour
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+
+
+_keep_freed_heap_top()
 
 
 class Tensor:
@@ -110,7 +140,7 @@ class _Node:
 
 
 class Tape:
-    """Append-only record of operations, consumed by one backward pass."""
+    """Record of operations; each node is released as backward consumes it."""
 
     def __init__(self):
         self._nodes: list[_Node] = []
@@ -159,7 +189,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise TapeError("loss was not recorded on this tape")
     tape.consumed = True
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape._nodes):
+    nodes = tape._nodes
+    while nodes:
+        node = nodes.pop()
         g_out = node.out.grad
         if g_out is None:
             continue

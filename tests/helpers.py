@@ -1,8 +1,23 @@
-"""Shared test utilities: finite-difference gradient oracle."""
+"""Shared test utilities: finite-difference gradient oracle, GC switch."""
 
 from __future__ import annotations
 
+import contextlib
+import gc
+
 import numpy as np
+
+
+@contextlib.contextmanager
+def gc_disabled():
+    """Inside the block only refcounting frees objects; cycles stay alive."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def fd_grad(loss_fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:

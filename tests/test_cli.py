@@ -205,6 +205,10 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("train", "weight_decay", "-1", "weight_decay"),
     ("train", "min_lr", "-1", "min_lr"),
     ("train", "grad_clip", "-1", "grad_clip"),
+    ("augment", "margin_top_k", "0", "augment.margin_top_k"),
+    ("augment", "margin_top_k", "-3", "augment.margin_top_k"),
+    ("data", "difficulty", "nan", "data.difficulty"),
+    ("data", "difficulty", "-5", "data.difficulty"),
 ])
 def test_out_of_range_values_rejected(section, key, value, match):
     raw = {"protocol": {"total_classes": "10", "initial_classes": "5",
@@ -213,6 +217,14 @@ def test_out_of_range_values_rejected(section, key, value, match):
     raw.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=match):
         materialize(raw)
+
+
+def test_nan_difficulty_exit_2_before_training(tmp_path, capsys):
+    path = tmp_path / "nan.ini"
+    path.write_text("[data]\ndifficulty = nan\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "data.difficulty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_finetune_epochs_unchecked_when_finetune_off():

@@ -82,6 +82,12 @@ def test_difficulty_zero_is_degenerate():
         assert all(np.array_equal(ds.images[i], first) for i in idx)
 
 
+@pytest.mark.parametrize("difficulty", [float("nan"), float("inf"), -5.0])
+def test_difficulty_out_of_range_rejected(difficulty):
+    with pytest.raises(ConfigError, match="difficulty"):
+        generate_synthetic(3, 4, 2, image_size=8, difficulty=difficulty)
+
+
 def test_same_seed_bit_identical():
     a = generate_synthetic(4, 6, 3, seed=9)
     b = generate_synthetic(4, 6, 3, seed=9)

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+from helpers import gc_disabled
 
 from tinycil import tensor as T
 from tinycil.augment import AugmentConfig
@@ -207,6 +210,23 @@ def test_stage1_eta_trace_length():
     trace = run_stage1(ctx)
     assert len(trace.eta_trace) == 4
     assert len(trace.loss_trace) == 4
+
+
+def _stage1_peak_bytes(epochs):
+    ctx, _ = make_ctx(epochs=epochs)
+    tracemalloc.start()
+    try:
+        run_stage1(ctx)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stage1_memory_does_not_grow_with_batches():
+    # each batch's tape must die by refcount, not wait for the cyclic GC
+    with gc_disabled():
+        short, long = _stage1_peak_bytes(2), _stage1_peak_bytes(6)
+    assert long <= 1.25 * short, (short, long)
 
 
 def test_stage1_with_margin_ranking_trains():

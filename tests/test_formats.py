@@ -9,9 +9,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tinycil.binio import atomic_open
 from tinycil.data import generate_synthetic, load_dataset, save_dataset
 from tinycil.errors import DataFormatError
 from tinycil.memory import ExemplarStore, Total, load_store, save_store
+from tinycil.metrics import StepReport, write_reports_jsonl
 from tinycil.model import (ModelSpec, forward_features, init_model,
                            load_checkpoint, save_checkpoint)
 from tinycil.rng import SplitMix64
@@ -148,3 +150,36 @@ def test_every_single_corruption_fails_cleanly(tmp_path, fmt, span):
             flipped = bytearray(blob)
             flipped[pos] ^= 1 << bit
             _loads_or_rejects(fmt, path, bytes(flipped))
+
+
+# --- atomic writes ---------------------------------------------------------------
+
+def _report(eta):
+    return StepReport(step=1, n_classes=2, top1=0.5,
+                      confusion=np.eye(2, dtype=np.int64), bias_rate=0.0, eta=eta)
+
+
+def test_writer_raising_mid_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "steps.jsonl"
+    write_reports_jsonl([_report(1.0)], path)
+    before = path.read_bytes()
+    # the first line is written before the second one fails to serialize
+    with pytest.raises(TypeError):
+        write_reports_jsonl([_report(2.0), _report(object())], path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["steps.jsonl"]
+
+
+def test_atomic_open_replaces_whole_or_not_at_all(tmp_path):
+    path = tmp_path / "blob.bin"
+    with atomic_open(path, "wb") as f:
+        f.write(b"old")
+    with pytest.raises(RuntimeError):
+        with atomic_open(path, "wb") as f:
+            f.write(b"partial")
+            raise RuntimeError("interrupted")
+    assert path.read_bytes() == b"old"
+    with atomic_open(path, "wb") as f:
+        f.write(b"new")
+    assert path.read_bytes() == b"new"
+    assert [p.name for p in tmp_path.iterdir()] == ["blob.bin"]

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
-from helpers import fd_grad, rel_err
+from helpers import fd_grad, gc_disabled, rel_err
 
 from tinycil import tensor as T
 from tinycil.errors import ShapeError, TapeError
@@ -187,6 +189,23 @@ def test_backward_twice_raises():
     T.backward(tape, loss)
     with pytest.raises(TapeError):
         T.backward(tape, loss)
+
+
+def test_backward_releases_each_node_as_it_walks():
+    with gc_disabled():
+        x = T.Tensor(RNG(0).normal(size=(4, 3)), requires_grad=True)
+        with T.Tape() as tape:
+            h = T.gelu(T.matmul(x, T.Tensor(np.ones((3, 2)))))
+            loss = T.sum_(h)
+        activation = weakref.ref(h.data)
+        del h
+        assert len(tape) == 3 and activation() is not None
+        T.backward(tape, loss)
+        assert len(tape) == 0
+        assert activation() is None
+        assert x.grad is not None
+        with pytest.raises(TapeError):
+            T.backward(tape, loss)
 
 
 def test_backward_non_scalar_raises():
