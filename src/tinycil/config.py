@@ -14,7 +14,7 @@ import math
 from dataclasses import fields
 
 from .augment import AugmentConfig
-from .data import ProtocolConfig
+from .data import U16_MAX, ProtocolConfig
 from .engine import TrainSettings
 from .errors import ConfigError
 from .memory import BudgetPolicy, PerClass, Total
@@ -192,6 +192,11 @@ def _validate(resolved: dict) -> None:
         raise ConfigError(
             f"model.stem: expected conv|patchify, got {resolved['model']['stem']!r}")
     if resolved["data"]["source"] == "synthetic":
+        for key in ("classes", "image_size", "channels"):
+            if resolved["data"][key] > U16_MAX:
+                raise ConfigError(
+                    f"data.{key}: expected at most {U16_MAX} (a u16 on disk), "
+                    f"got {resolved['data'][key]}")
         build_model_spec(resolved, resolved["data"]["image_size"],
                          resolved["data"]["channels"])
 

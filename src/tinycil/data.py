@@ -23,6 +23,8 @@ from .rng import SplitMix64
 DATASET_MAGIC = b"CILD"
 DATASET_VERSION = 1
 NOISE_BASE_STD = 0.25
+# CILD (and CILX) store image sizes, channel counts and labels as u16
+U16_MAX = 0xFFFF
 _PROTO_MODES = 4          # cosine modes per axis in a prototype
 
 
@@ -128,8 +130,12 @@ def generate_synthetic(num_classes: int, per_class_train: int,
                        channels: int = 3, difficulty: float = 0.5,
                        seed: int = 7) -> LabeledDataset:
     """Deterministic toy dataset: class prototypes plus scaled noise."""
-    if min(num_classes, per_class_train, per_class_test, image_size) < 1:
+    if min(num_classes, per_class_train, per_class_test, image_size, channels) < 1:
         raise ConfigError("all synthetic dataset counts must be >= 1")
+    for key, value in (("classes", num_classes), ("image_size", image_size),
+                       ("channels", channels)):
+        if value > U16_MAX:
+            raise ConfigError(f"{key} must be <= {U16_MAX} (a u16 on disk), got {value}")
     if not (math.isfinite(difficulty) and difficulty >= 0):
         raise ConfigError(f"difficulty must be finite and >= 0, got {difficulty!r}")
     root = SplitMix64(seed)

@@ -217,7 +217,14 @@ def conv_stem_forward(state: ModelState, images: Tensor, training: bool) -> Tens
     return T.transpose(cur, (0, 2, 1))                # [b, tokens, d]
 
 
-def _attention(state: ModelState, block: int, x: Tensor) -> Tensor:
+def _attention(state: ModelState, block: int, x: Tensor, queries: int) -> Tensor:
+    """Multi-head self-attention of the first `queries` tokens over all of `x`.
+
+    Keys and values come from every token of `x`; scores, softmax and the
+    output projection run only for the first `queries` rows, so the result is
+    `[b, queries, d]`. The last block passes 1: only the CLS row is read after
+    it.
+    """
     spec = state.spec
     b, t, d = x.shape
     heads = spec.num_heads
@@ -226,11 +233,11 @@ def _attention(state: ModelState, block: int, x: Tensor) -> Tensor:
         + state.backbone[f"block{block}.qkv_bias"]
     qkv = T.reshape(qkv, (b, t, 3, heads, dh))
     qkv = T.transpose(qkv, (2, 0, 3, 1, 4))           # [3, b, heads, t, dh]
-    q, k, v = qkv[0], qkv[1], qkv[2]
+    q, k, v = qkv[0, :, :, :queries], qkv[1], qkv[2]
     scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     attn = T.softmax(scores, axis=-1)
-    out = T.matmul(attn, v)                           # [b, heads, t, dh]
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t, d))
+    out = T.matmul(attn, v)                           # [b, heads, queries, dh]
+    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, queries, d))
     return T.matmul(out, state.backbone[f"block{block}.proj_weight"]) \
         + state.backbone[f"block{block}.proj_bias"]
 
@@ -245,6 +252,12 @@ def _mlp(state: ModelState, block: int, x: Tensor) -> Tensor:
 
 def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
     """CLS-token feature after the final block and final norm.
+
+    Only the CLS row is read. The last block therefore takes its keys and
+    values from every token and then narrows to the CLS row: its query,
+    attention output, residuals and MLP run on `[b, 1, d]`, and the final
+    norm on `[b, d]`. With no blocks the CLS row is taken before the final
+    norm.
 
     `mode` only switches batch-norm between batch and running statistics;
     recording onto a gradient tape is controlled by the caller's Tape context.
@@ -267,13 +280,14 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
     for i in range(spec.num_blocks):
         h = T.layer_norm(seq, state.backbone[f"block{i}.ln1_gain"],
                          state.backbone[f"block{i}.ln1_bias"], eps=LN_EPS)
-        seq = seq + _attention(state, i, h)
+        if i == spec.num_blocks - 1:
+            seq = seq[:, :1]                          # the CLS row
+        seq = seq + _attention(state, i, h, queries=seq.shape[1])
         h = T.layer_norm(seq, state.backbone[f"block{i}.ln2_gain"],
                          state.backbone[f"block{i}.ln2_bias"], eps=LN_EPS)
         seq = seq + _mlp(state, i, h)
-    seq = T.layer_norm(seq, state.backbone["final_norm_gain"],
-                       state.backbone["final_norm_bias"], eps=LN_EPS)
-    return seq[:, 0, :]
+    return T.layer_norm(seq[:, 0, :], state.backbone["final_norm_gain"],
+                        state.backbone["final_norm_bias"], eps=LN_EPS)
 
 
 def cosine_scores(state: ModelState, features: Tensor) -> Tensor:

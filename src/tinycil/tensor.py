@@ -373,10 +373,10 @@ def softmax(a, axis: int = -1) -> Tensor:
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat *= inv
     out = Tensor(gain.data * xhat + bias.data)
 
     def _bw(g):
@@ -407,16 +407,17 @@ def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
     axes = (0, 2, 3)
     if training:
         mu = x.data.mean(axis=axes)
-        var = x.data.var(axis=axes)
+        xhat = x.data - mu.reshape(gshape)
+        var = (xhat * xhat).mean(axis=axes)
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
         running_var *= (1.0 - momentum)
         running_var += momentum * var
     else:
-        mu = running_mean
+        xhat = x.data - running_mean.reshape(gshape)
         var = running_var
     inv = (1.0 / np.sqrt(var + eps)).reshape(gshape)
-    xhat = (x.data - mu.reshape(gshape)) * inv
+    xhat *= inv
     out = Tensor(gain.data.reshape(gshape) * xhat + bias.data.reshape(gshape))
 
     def _bw(g):

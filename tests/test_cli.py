@@ -209,6 +209,9 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("augment", "margin_top_k", "-3", "augment.margin_top_k"),
     ("data", "difficulty", "nan", "data.difficulty"),
     ("data", "difficulty", "-5", "data.difficulty"),
+    ("data", "classes", "70000", "data.classes"),
+    ("data", "image_size", "65536", "data.image_size"),
+    ("data", "channels", "70000", "data.channels"),
 ])
 def test_out_of_range_values_rejected(section, key, value, match):
     raw = {"protocol": {"total_classes": "10", "initial_classes": "5",
@@ -224,6 +227,17 @@ def test_nan_difficulty_exit_2_before_training(tmp_path, capsys):
     path.write_text("[data]\ndifficulty = nan\n")
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "data.difficulty" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_classes_above_u16_exit_2_before_training(tmp_path, capsys):
+    # labels are stored as u16: 70000 classes used to train step 1 and then
+    # fail writing the exemplar store
+    path = tmp_path / "wide.ini"
+    path.write_text("[data]\nclasses = 70000\nper_class_train = 1\n"
+                    "per_class_test = 1\nimage_size = 4\n")
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "data.classes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -311,6 +325,15 @@ def test_gen_data_roundtrip(tmp_path):
     ds = load_dataset(out)
     assert ds.num_classes == 3
     assert len(ds.labels) == 21
+
+
+def test_gen_data_classes_above_u16_exit_2(tmp_path, capsys):
+    out = tmp_path / "x.cild"
+    assert main(["gen-data", "--classes", "70000", "--per-class", "1",
+                 "--per-class-test", "1", "--image-size", "1", "--channels", "1",
+                 "--out", str(out)]) == 2
+    assert "classes" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- compare ---------------------------------------------------------------------

@@ -88,6 +88,18 @@ def test_difficulty_out_of_range_rejected(difficulty):
         generate_synthetic(3, 4, 2, image_size=8, difficulty=difficulty)
 
 
+@pytest.mark.parametrize("key,sizes", [
+    ("classes", dict(num_classes=65536)),
+    ("image_size", dict(image_size=70000)),
+    ("channels", dict(channels=70000)),
+])
+def test_sizes_above_u16_rejected(key, sizes):
+    args = dict(num_classes=1, per_class_train=1, per_class_test=1,
+                image_size=1, channels=1) | sizes
+    with pytest.raises(ConfigError, match=key):
+        generate_synthetic(**args)
+
+
 def test_same_seed_bit_identical():
     a = generate_synthetic(4, 6, 3, seed=9)
     b = generate_synthetic(4, 6, 3, seed=9)

@@ -119,6 +119,83 @@ def test_param_counts_differ_only_in_stem():
     assert conv_counts == patch_counts
 
 
+# --- the last block computes only the CLS row ----------------------------------
+
+def _reference_features(state, images, mode):
+    """Every token through every block and the final norm, then row 0."""
+    spec, p = state.spec, state.backbone
+    x = T.Tensor(images)
+    tokens = (M.conv_stem_forward(state, x, training=(mode == "train"))
+              if spec.stem_kind == "conv" else M.patchify_forward(state, x))
+    b, t = tokens.shape[:2]
+    d, heads = spec.embed_dim, spec.num_heads
+    dh = d // heads
+    cls = p["cls_token"] * T.Tensor(np.ones((b, 1, 1)))
+    seq = T.concat([cls, tokens], axis=1) + p["pos_embed"]
+    for i in range(spec.num_blocks):
+        h = T.layer_norm(seq, p[f"block{i}.ln1_gain"], p[f"block{i}.ln1_bias"])
+        qkv = T.matmul(h, p[f"block{i}.qkv_weight"]) + p[f"block{i}.qkv_bias"]
+        qkv = T.transpose(T.reshape(qkv, (b, t + 1, 3, heads, dh)), (2, 0, 3, 1, 4))
+        scores = T.matmul(qkv[0], T.transpose(qkv[1], (0, 1, 3, 2))) / np.sqrt(dh)
+        out = T.matmul(T.softmax(scores, axis=-1), qkv[2])
+        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, t + 1, d))
+        seq = seq + T.matmul(out, p[f"block{i}.proj_weight"]) + p[f"block{i}.proj_bias"]
+        h = T.layer_norm(seq, p[f"block{i}.ln2_gain"], p[f"block{i}.ln2_bias"])
+        h = T.gelu(T.matmul(h, p[f"block{i}.mlp1_weight"]) + p[f"block{i}.mlp1_bias"])
+        seq = seq + T.matmul(h, p[f"block{i}.mlp2_weight"]) + p[f"block{i}.mlp2_bias"]
+    seq = T.layer_norm(seq, p["final_norm_gain"], p["final_norm_bias"])
+    return seq[:, 0, :]
+
+
+def _features_and_grads(forward, state, images, mode):
+    state = M.clone_state(state)
+    weights = np.random.default_rng(1).normal(size=(len(images), state.spec.embed_dim))
+    with T.Tape() as tape:
+        feats = forward(state, images, mode)
+        loss = (feats * weights).sum()
+    T.backward(tape, loss)
+    return feats.data, {k: v.grad for k, v in state.backbone.items()}
+
+
+_NARROWING_CASES = pytest.mark.parametrize(
+    "stem,num_blocks,mode",
+    [(s, n, m) for s in ("patchify", "conv") for n in range(4) for m in ("train", "eval")])
+
+
+@_NARROWING_CASES
+def test_cls_row_forward_matches_full_token_reference(stem, num_blocks, mode):
+    spec = toy_spec(stem_kind=stem, num_blocks=num_blocks)
+    state = M.init_model(spec, SplitMix64(30 + num_blocks))
+    imgs = toy_images(4, spec, seed=num_blocks)
+    feats, grads = _features_and_grads(
+        lambda s, x, m: M.forward_features(s, x, mode=m), state, imgs, mode)
+    ref_feats, ref_grads = _features_and_grads(_reference_features, state, imgs, mode)
+    assert feats.shape == (4, spec.embed_dim)
+    assert np.abs(feats - ref_feats).max() <= 1e-12 * np.abs(ref_feats).max()
+    assert grads.keys() == ref_grads.keys()
+    for name, ref in ref_grads.items():
+        assert ref is not None and grads[name] is not None, name
+        assert np.abs(grads[name] - ref).max() <= 1e-10 * np.abs(ref).max(), name
+
+
+@_NARROWING_CASES
+def test_last_block_mlp_sees_only_cls_row(stem, num_blocks, mode, monkeypatch):
+    spec = toy_spec(stem_kind=stem, num_blocks=num_blocks)
+    state = M.init_model(spec, SplitMix64(40))
+    seen = []
+    gelu = T.gelu
+
+    def spy(a):
+        seen.append(a.shape)
+        return gelu(a)
+
+    monkeypatch.setattr(T, "gelu", spy)
+    M.forward_features(state, toy_images(3, spec), mode=mode)
+    hidden = int(spec.mlp_ratio * spec.embed_dim)
+    full = (3, spec.token_count + 1, hidden)
+    assert seen == [full] * (num_blocks - 1) + [(3, 1, hidden)] * (num_blocks > 0)
+
+
 # --- cosine head ---------------------------------------------------------------
 
 def _head_state(weight, eta, spec=None):
