@@ -9,11 +9,14 @@ self-contained SVG polyline plots so the CSV stays the authoritative output.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
 import time
 from datetime import datetime, timezone
+from html import escape
 from pathlib import Path
 
 from . import __version__
@@ -90,6 +93,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_text(path, text: str) -> None:
     with atomic_open(path) as f:
         f.write(text)
+
+
+def _write_csv(path, rows) -> None:
+    """Rows as CSV; a cell holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_text(path, buf.getvalue())
 
 
 def _default_out_dir(config_path: str, seed: int) -> Path:
@@ -208,26 +218,25 @@ def cmd_compare(args) -> int:
     # runs may stop early (a diverged run keeps its finished steps): the
     # longest one lists the steps, and missing cells stay empty
     longest = max((r["rows"] for r in runs), key=len)
-    header = ["step", "n_classes"] + [f"top1_{r['name']}" for r in runs]
-    lines = [",".join(header)]
+    rows = [["step", "n_classes"] + [f"top1_{r['name']}" for r in runs]]
     for i, row in enumerate(longest):
         cells = [str(row["step"]), str(row["n_classes"])]
         for run in runs:
             cells.append(repr(run["rows"][i]["top1"]) if i < len(run["rows"]) else "")
-        lines.append(",".join(cells))
-    _write_text(out_dir / "compare.csv", "\n".join(lines) + "\n")
+        rows.append(cells)
+    _write_csv(out_dir / "compare.csv", rows)
 
-    avg_lines = ["run,avg_inc_acc,avg_inc_acc_excl_initial"]
+    avg_rows = [["run", "avg_inc_acc", "avg_inc_acc_excl_initial"]]
     series = []
     for run in runs:
         accs = [r["top1"] for r in run["rows"]]
         avg = average_incremental_accuracy(accs)
         avg_excl = (average_incremental_accuracy(accs, include_initial=False)
                     if len(accs) > 1 else avg)
-        avg_lines.append(f"{run['name']},{avg!r},{avg_excl!r}")
+        avg_rows.append([run["name"], repr(avg), repr(avg_excl)])
         series.append((f"{run['name']} [{100 * avg:.2f}]",
                        [r["n_classes"] for r in run["rows"]], accs))
-    _write_text(out_dir / "compare_averages.csv", "\n".join(avg_lines) + "\n")
+    _write_csv(out_dir / "compare_averages.csv", avg_rows)
     write_line_chart_svg(out_dir / "compare.svg", series,
                          x_label="classes seen", y_label="top-1 accuracy")
     print(f"compared {len(runs)} runs -> {out_dir}")
@@ -262,7 +271,7 @@ def cmd_ablate(args) -> int:
         args.config, base["run"]["seed"]) / f"ablate-{args.axis}"
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    grid = ["arm,avg_inc_acc,final_top1,final_eta"]
+    grid = [["arm", "avg_inc_acc", "final_top1", "final_eta"]]
     run_dirs = []
     for arm_name, (section, key, value) in AXES[args.axis]:
         arm_cfg = json.loads(json.dumps(base))     # deep copy
@@ -271,10 +280,10 @@ def cmd_ablate(args) -> int:
         print(f"[{args.axis}={arm_name}]")
         reports = execute_run(arm_cfg, arm_dir)
         avg = average_incremental_accuracy([r.top1 for r in reports])
-        grid.append(f"{arm_name},{avg!r},{reports[-1].top1!r},"
-                    f"{reports[-1].eta!r}")
+        grid.append([arm_name, repr(avg), repr(reports[-1].top1),
+                     repr(reports[-1].eta)])
         run_dirs.append(str(arm_dir))
-    _write_text(out_dir / "ablation.csv", "\n".join(grid) + "\n")
+    _write_csv(out_dir / "ablation.csv", grid)
     cmd_compare(argparse.Namespace(run_dirs=run_dirs, out=str(out_dir)))
     print(f"ablation grid -> {out_dir / 'ablation.csv'}")
     return 0
@@ -301,7 +310,10 @@ def cmd_gen_data(args) -> int:
 
 def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
                          width: int = 640, height: int = 420) -> None:
-    """Polyline chart; byte-stable except for the timestamp comment."""
+    """Polyline chart; byte-stable except for the timestamp comment.
+
+    Labels are XML-escaped, so any run name gives a well-formed file.
+    """
     ml, mr, mt, mb = 60, 160, 20, 45
     plot_w, plot_h = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -336,11 +348,11 @@ def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
                      f'font-size="11" text-anchor="middle">{x}</text>')
     if x_label:
         parts.append(f'<text x="{ml + plot_w / 2:.1f}" y="{height - 8}" '
-                     f'font-size="12" text-anchor="middle">{x_label}</text>')
+                     f'font-size="12" text-anchor="middle">{escape(x_label, quote=False)}</text>')
     if y_label:
         parts.append(f'<text x="14" y="{mt + plot_h / 2:.1f}" font-size="12" '
                      f'text-anchor="middle" transform="rotate(-90 14 '
-                     f'{mt + plot_h / 2:.1f})">{y_label}</text>')
+                     f'{mt + plot_h / 2:.1f})">{escape(y_label, quote=False)}</text>')
     # series
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
@@ -355,7 +367,7 @@ def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
                      f'x2="{ml + plot_w + 30}" y2="{ly - 4}" stroke="{color}" '
                      'stroke-width="2"/>')
         parts.append(f'<text x="{ml + plot_w + 35}" y="{ly}" font-size="11">'
-                     f"{label}</text>")
+                     f"{escape(label, quote=False)}</text>")
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")
 

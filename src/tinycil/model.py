@@ -197,7 +197,7 @@ def patchify_forward(state: ModelState, images: Tensor) -> Tensor:
     x = T.reshape(images, (b, c, g, p, g, p))
     x = T.transpose(x, (0, 2, 4, 1, 3, 5))            # [b, gh, gw, c, ph, pw]
     x = T.reshape(x, (b, g * g, c * p * p))
-    return T.matmul(x, state.backbone["stem.proj_weight"]) + state.backbone["stem.proj_bias"]
+    return T.linear(x, state.backbone["stem.proj_weight"], state.backbone["stem.proj_bias"])
 
 
 def conv_stem_forward(state: ModelState, images: Tensor, training: bool) -> Tensor:
@@ -220,34 +220,23 @@ def conv_stem_forward(state: ModelState, images: Tensor, training: bool) -> Tens
 def _attention(state: ModelState, block: int, x: Tensor, queries: int) -> Tensor:
     """Multi-head self-attention of the first `queries` tokens over all of `x`.
 
-    Keys and values come from every token of `x`; scores, softmax and the
-    output projection run only for the first `queries` rows, so the result is
-    `[b, queries, d]`. The last block passes 1: only the CLS row is read after
-    it.
+    q/k/v come from every token of `x` in one `T.linear`; `T.attention` then
+    computes scores, softmax and the merged heads for the first `queries`
+    rows only, and the output projection runs on those, so the result is
+    `[b, queries, d]`. The last block passes 1: only the CLS row is read
+    after it.
     """
-    spec = state.spec
-    b, t, d = x.shape
-    heads = spec.num_heads
-    dh = d // heads
-    qkv = T.matmul(x, state.backbone[f"block{block}.qkv_weight"]) \
-        + state.backbone[f"block{block}.qkv_bias"]
-    qkv = T.reshape(qkv, (b, t, 3, heads, dh))
-    qkv = T.transpose(qkv, (2, 0, 3, 1, 4))           # [3, b, heads, t, dh]
-    q, k, v = qkv[0, :, :, :queries], qkv[1], qkv[2]
-    scores = T.matmul(q, T.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
-    out = T.matmul(attn, v)                           # [b, heads, queries, dh]
-    out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, queries, d))
-    return T.matmul(out, state.backbone[f"block{block}.proj_weight"]) \
-        + state.backbone[f"block{block}.proj_bias"]
+    p = state.backbone
+    qkv = T.linear(x, p[f"block{block}.qkv_weight"], p[f"block{block}.qkv_bias"])
+    out = T.attention(qkv, state.spec.num_heads, queries)
+    return T.linear(out, p[f"block{block}.proj_weight"], p[f"block{block}.proj_bias"])
 
 
 def _mlp(state: ModelState, block: int, x: Tensor) -> Tensor:
-    h = T.matmul(x, state.backbone[f"block{block}.mlp1_weight"]) \
-        + state.backbone[f"block{block}.mlp1_bias"]
-    h = T.gelu(h)
-    return T.matmul(h, state.backbone[f"block{block}.mlp2_weight"]) \
-        + state.backbone[f"block{block}.mlp2_bias"]
+    """Two `T.linear` projections with an exact GELU between them."""
+    p = state.backbone
+    h = T.gelu(T.linear(x, p[f"block{block}.mlp1_weight"], p[f"block{block}.mlp1_bias"]))
+    return T.linear(h, p[f"block{block}.mlp2_weight"], p[f"block{block}.mlp2_bias"])
 
 
 def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:

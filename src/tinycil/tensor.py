@@ -1,8 +1,12 @@
 """Dense float64 tensors with a reverse-mode gradient tape.
 
 The op set is deliberately closed: exactly what a micro vision transformer
-with patchify/conv stems, a cosine head, and its losses need. Arrays are
-numpy throughout; the tape is a flat list of nodes, and each node is
+with patchify/conv stems, a cosine head, and its losses need. At desk scale a
+node's Python and small-array overhead costs more than its arithmetic, so
+the transformer's hot paths are fused: `linear` is one node per projection
+and `attention` one node per block. The unfused ops (`matmul`, `softmax`,
+`index`, ...) stay for the head, the losses and the gradient checks. Arrays
+are numpy throughout; the tape is a flat list of nodes, and each node is
 released as backward consumes it, so a batch's activations and backward
 closures die by refcount during the pass and no tape outlives its batch.
 Gradients accumulate additively within a single backward pass; running
@@ -304,6 +308,78 @@ def matmul(a, b) -> Tensor:
         return da, db
 
     return _record(out, (a, b), _bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """`x @ w + b` as one node: x [..., din], w [din, dout], b [dout].
+
+    The backward folds x's leading dims into one 2-D GEMM for `dw`, and
+    forms `dx` only if x was tracked when the op ran (the patchify stem's
+    pixels are not).
+    """
+    x, w, b = _coerce(x), _coerce(w), _coerce(b)
+    if x.data.ndim < 2 or w.data.ndim != 2 or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear needs x [..., din], w [din, dout] and b [dout], "
+                         f"got {x.shape}, {w.shape} and {b.shape}")
+    if x.shape[-1] != w.shape[0]:
+        raise ShapeError(f"linear inner dimensions differ: {x.shape} x {w.shape}")
+    out = Tensor(np.matmul(x.data, w.data) + b.data)
+    tape = active_tape()
+    want_dx = tape is not None and _tracked(x, tape)
+
+    def _bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        dw = np.matmul(x.data.reshape(-1, x.shape[-1]).T, g2)
+        dx = np.matmul(g, w.data.T) if want_dx else None
+        return dx, dw, g2.sum(axis=0)
+
+    return _record(out, (x, w, b), _bw)
+
+
+def attention(qkv, heads: int, queries: int) -> Tensor:
+    """Softmax attention of the first `queries` tokens over all t tokens.
+
+    `qkv` is [b, t, 3d]: queries, keys and values side by side, each split
+    into `heads` heads of d/heads. Scores are scaled by 1/sqrt(d/heads). The
+    result is the merged heads, [b, queries, d]. The backward uses the
+    softmax identity dS = P∘(dP − rowsum(dP∘P)) (FlashAttention, Dao et al.,
+    2022) and writes dq, dk and dv into one [b, t, 3d] gradient.
+    """
+    qkv = _coerce(qkv)
+    if qkv.data.ndim != 3 or heads < 1 or qkv.shape[-1] % (3 * heads):
+        raise ShapeError(f"attention needs qkv [b, t, 3d] with d divisible by "
+                         f"{heads} heads, got {qkv.shape}")
+    b, t, d3 = qkv.shape
+    if not 1 <= queries <= t:
+        raise ShapeError(f"attention queries must be in [1, {t}], got {queries}")
+    d = d3 // 3
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+    # strided views, [b, heads, tokens, dh], which numpy hands to BLAS as they
+    # are; only k^T is copied, because a transposed view takes another BLAS
+    # kernel and moves the scores' low-order bits
+    q, k, v = qkv.data.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    q = q[:, :, :queries]
+    kt = np.ascontiguousarray(k.swapaxes(-1, -2))
+    p = np.matmul(q, kt) * scale                      # [b, heads, queries, t]
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    p /= p.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, queries, d))
+
+    def _bw(g):
+        g = g.reshape(b, queries, heads, dh).transpose(0, 2, 1, 3)
+        dp = np.matmul(g, v.swapaxes(-1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds *= scale
+        dqkv = np.empty((b, t, 3, heads, dh))
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        dq[:, :, :queries] = np.matmul(ds, k)
+        dq[:, :, queries:] = 0.0
+        dk[...] = np.matmul(ds.swapaxes(-1, -2), q)
+        dv[...] = np.matmul(p.swapaxes(-1, -2), g)
+        return (dqkv.reshape(b, t, d3),)
+
+    return _record(out, (qkv,), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,56 @@
+"""The benchmark's tracer patches tensor ops by name; keep what it relies on.
+
+`perfbench/tracing.py` gives every name in `TENSOR_OPS` its own row, and both
+training workloads require a `tensor.matmul.bwd` span. A change that renames
+an op, or fuses away the last taped matmul, fails here instead of in the
+benchmark.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from tinycil import model as M
+from tinycil import tensor as T
+from tinycil.rng import SplitMix64
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_ops_are_public_tensor_functions():
+    for name in _tracing().TENSOR_OPS:
+        fn = getattr(T, name, None)
+        assert callable(fn) and not isinstance(fn, type), name
+        assert fn.__module__ == T.__name__, name
+
+
+def test_taped_batch_records_a_matmul_node(monkeypatch):
+    recorded = []
+    matmul = T.matmul
+
+    def spy(a, b):
+        out = matmul(a, b)
+        recorded.append(out.tape_id is not None)
+        return out
+
+    monkeypatch.setattr(T, "matmul", spy)
+    for stem in ("patchify", "conv"):
+        spec = M.ModelSpec(image_size=8, stem_kind=stem, patch_size=4,
+                           stem_channels=(8, 16), embed_dim=16, num_blocks=1,
+                           num_classes=3)
+        state = M.init_model(spec, SplitMix64(1))
+        images = np.random.default_rng(0).uniform(0, 1, (4, 3, 8, 8))
+        recorded.clear()
+        with T.Tape():
+            M.cosine_logits(state, M.forward_features(state, images, mode="train"))
+        assert any(recorded), stem

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import shutil
+import xml.dom.minidom
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +15,8 @@ import pytest
 from tinycil.cli import main
 from tinycil.config import (DEFAULTS, build_train_settings, load_config,
                             materialize, resolve_epochs_step)
-from tinycil.data import load_dataset
+from tinycil.data import (LabeledDataset, generate_synthetic, load_dataset,
+                          save_dataset)
 from tinycil.engine import TrainSettings
 from tinycil.errors import ConfigError
 from tinycil.memory import load_store
@@ -315,6 +320,47 @@ def test_run_on_file_dataset(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
+def _file_config_keeping(tmp_path, keep):
+    """TINY_CONFIG on a CILD file where class c keeps keep[c] training images;
+    the rest of its training images move to the test split."""
+    ds = generate_synthetic(4, 8, 4, image_size=8, seed=3)
+    moved = np.concatenate([ds.class_indices("train", c)[n:] for c, n in keep.items()])
+    save_dataset(LabeledDataset(
+        images=ds.images, labels=ds.labels, num_classes=4,
+        train_indices=np.setdiff1d(ds.train_indices, moved),
+        test_indices=np.union1d(ds.test_indices, moved)), tmp_path / "toy.cild")
+    cfg = tmp_path / "file.ini"
+    cfg.write_text(TINY_CONFIG.replace(
+        "[data]\nclasses = 4\nper_class_train = 8\nper_class_test = 4\n"
+        "image_size = 8\nseed = 3",
+        f"[data]\nsource = file\npath = {tmp_path / 'toy.cild'}"))
+    return cfg
+
+
+@pytest.mark.parametrize("keep,match", [
+    # herding used to die in np.concatenate after step 1 had trained
+    ({1: 0}, "class 1 has no training image"),
+    # the finetune used to refuse unequal counts after step_01.cilm was written
+    ({2: 2}, "class 2 has 2 training images under a per-class budget of 4"),
+])
+def test_data_that_cannot_fill_a_step_exit_2_before_training(tmp_path, capsys,
+                                                             keep, match):
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(_file_config_keeping(tmp_path, keep)),
+                 "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and match in err
+    assert not list(out.glob("checkpoints/*"))
+
+
+def test_unequal_train_counts_pass_without_balanced_finetune(tmp_path):
+    cfg = _file_config_keeping(tmp_path, {2: 2})
+    cfg.write_text(cfg.read_text().replace("[train]\n",
+                                           "[train]\nbalanced_finetune = off\n"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+
 # --- gen-data --------------------------------------------------------------------
 
 def test_gen_data_roundtrip(tmp_path):
@@ -372,6 +418,40 @@ def test_compare_runs_of_different_lengths(config_path, tmp_path):
         assert table[1][2] == table[1][3]
         cells = dict(zip([run.name for run in order], table[2][2:]))
         assert cells["partial"] == "" and cells["full"] != ""
+
+
+def test_compare_escapes_run_names(config_path, tmp_path):
+    base = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out", str(base)])
+    names = ["a&b<1>", 'x,y "z"', "plain"]
+    for name in names:
+        shutil.copytree(base, tmp_path / name)
+    cmp_dir = tmp_path / "cmp"
+    assert main(["compare", *(str(tmp_path / n) for n in names),
+                 "--out", str(cmp_dir)]) == 0
+    svg = xml.dom.minidom.parse(str(cmp_dir / "compare.svg"))
+    texts = [t.firstChild.data for t in svg.getElementsByTagName("text")]
+    assert [t.rsplit(" [", 1)[0] for t in texts if t.endswith("]")] == names
+    with open(cmp_dir / "compare.csv", newline="") as f:
+        table = list(csv.reader(f))
+    assert table[0] == ["step", "n_classes"] + [f"top1_{n}" for n in names]
+    assert all(len(row) == 5 for row in table)
+    with open(cmp_dir / "compare_averages.csv", newline="") as f:
+        avgs = list(csv.reader(f))
+    assert [row[0] for row in avgs[1:]] == names
+    assert all(len(row) == 3 for row in avgs)
+
+
+def test_compare_plain_names_unquoted(config_path, tmp_path):
+    out = tmp_path / "run"
+    main(["run", "--config", str(config_path), "--out", str(out)])
+    cmp_dir = tmp_path / "cmp"
+    assert main(["compare", str(out), str(out), "--out", str(cmp_dir)]) == 0
+    for name in ("compare.csv", "compare_averages.csv"):
+        text = (cmp_dir / name).read_text()
+        assert '"' not in text and "\r" not in text
+        assert text == "".join(",".join(row) + "\n"
+                               for row in csv.reader(io.StringIO(text)))
 
 
 def test_compare_protocol_mismatch(config_path, tmp_path):

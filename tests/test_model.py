@@ -7,6 +7,7 @@ import pytest
 
 from tinycil import model as M
 from tinycil import tensor as T
+from tinycil.engine import cross_entropy
 from tinycil.errors import ConfigError, DataFormatError, ShapeError
 from tinycil.rng import SplitMix64
 
@@ -194,6 +195,18 @@ def test_last_block_mlp_sees_only_cls_row(stem, num_blocks, mode, monkeypatch):
     hidden = int(spec.mlp_ratio * spec.embed_dim)
     full = (3, spec.token_count + 1, hidden)
     assert seen == [full] * (num_blocks - 1) + [(3, 1, hidden)] * (num_blocks > 0)
+
+
+@pytest.mark.parametrize("stem,most", [("patchify", 39), ("conv", 46)])
+def test_tape_nodes_per_training_batch(stem, most):
+    # one node per projection and one per attention
+    spec = toy_spec(stem_kind=stem)
+    state = M.init_model(spec, SplitMix64(3))
+    targets = np.eye(spec.num_classes)[np.arange(32) % spec.num_classes]
+    with T.Tape() as tape:
+        feats = M.forward_features(state, toy_images(32, spec), mode="train")
+        cross_entropy(M.cosine_logits(state, feats), targets)
+    assert len(tape) <= most
 
 
 # --- cosine head ---------------------------------------------------------------

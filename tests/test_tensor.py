@@ -64,6 +64,136 @@ def test_matmul_batched_grad_vs_fd():
     _check_grads(lambda x, y: T.sum_(T.matmul(x, y)), [a, b], tol=1e-5)
 
 
+# --- linear ----------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(5, 4), (2, 3, 4)])
+def test_linear_grad_vs_fd(shape):
+    rng = RNG(2)
+    x = rng.uniform(-1, 1, shape)
+    w = rng.uniform(-1, 1, (4, 3))
+    b = rng.uniform(-1, 1, 3)
+    weights = rng.uniform(-1, 1, shape[:-1] + (3,))
+    _check_grads(lambda x, w, b: T.sum_(T.mul(T.linear(x, w, b), weights)),
+                 [x, w, b], tol=1e-6)
+
+
+def test_linear_is_matmul_plus_bias():
+    rng = RNG(3)
+    x, w, b = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    out = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+    np.testing.assert_array_equal(out.data, np.matmul(x, w) + b)
+
+
+def test_linear_shape_error_names_shapes():
+    with pytest.raises(ShapeError) as e:
+        T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))),
+                 T.Tensor(np.zeros(2)))
+    assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
+
+
+def _linear_backward_gemms(x, monkeypatch):
+    """Backward of sum(linear(x, w, b) * c); returns x, w and np.matmul calls."""
+    rng = RNG(4)
+    w = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_(T.mul(T.linear(x, w, b), rng.normal(size=(2, 5, 3))))
+    calls = []
+    matmul = np.matmul
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape)
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    T.backward(tape, loss)
+    monkeypatch.undo()
+    assert w.grad is not None and b.grad is not None
+    return calls
+
+
+def test_linear_untracked_input_gets_no_gradient(monkeypatch):
+    x = T.Tensor(RNG(5).normal(size=(2, 5, 4)))
+    assert _linear_backward_gemms(x, monkeypatch) == [(10, 3)]     # dw only
+    assert x.grad is None
+
+
+def test_linear_input_from_an_earlier_tape_gets_no_gradient(monkeypatch):
+    # x keeps its old tape after that tape's backward; on a new tape it is a
+    # constant, so g @ w.T is never formed
+    w0 = T.Tensor(RNG(6).normal(size=(2, 5, 4)), requires_grad=True)
+    with T.Tape():
+        x = T.mul(w0, 2.0)
+    assert x._tape is not None
+    assert _linear_backward_gemms(x, monkeypatch) == [(10, 3)]
+    assert x.grad is None
+
+
+def test_linear_tracked_input_gets_gradient(monkeypatch):
+    x = T.Tensor(RNG(5).normal(size=(2, 5, 4)), requires_grad=True)
+    assert len(_linear_backward_gemms(x, monkeypatch)) == 2
+    assert x.grad.shape == (2, 5, 4)
+
+
+# --- attention -------------------------------------------------------------
+
+def _unfused_attention(qkv, heads, queries):
+    """Reshape, split, scaled scores, softmax and merge as separate ops."""
+    b, t, d3 = qkv.shape
+    d = d3 // 3
+    dh = d // heads
+    parts = T.transpose(T.reshape(qkv, (b, t, 3, heads, dh)), (2, 0, 3, 1, 4))
+    q, k, v = parts[0, :, :, :queries], parts[1], parts[2]
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
+    out = T.matmul(T.softmax(scores, axis=-1), v)
+    return T.reshape(T.transpose(out, (0, 2, 1, 3)), (b, queries, d))
+
+
+_ATTENTION_CASES = pytest.mark.parametrize(
+    "heads,queries", [(h, q) for h in (1, 2) for q in (4, 1)])
+
+
+@_ATTENTION_CASES
+def test_attention_grad_vs_fd(heads, queries):
+    rng = RNG(7)
+    qkv = rng.uniform(-1, 1, (2, 4, 12))          # t = 4 tokens, d = 4
+    weights = rng.uniform(-1, 1, (2, queries, 4))
+    _check_grads(lambda a: T.sum_(T.mul(T.attention(a, heads, queries), weights)),
+                 [qkv], tol=1e-6)
+
+
+@_ATTENTION_CASES
+def test_attention_matches_unfused_ops(heads, queries):
+    rng = RNG(8)
+    qkv = rng.normal(size=(3, 4, 12))
+    weights = rng.normal(size=(3, queries, 4))
+    outs, grads = [], []
+    for attend in (T.attention, _unfused_attention):
+        x = T.Tensor(qkv, requires_grad=True)
+        with T.Tape() as tape:
+            out = attend(x, heads, queries)
+            loss = T.sum_(T.mul(out, weights))
+        T.backward(tape, loss)
+        outs.append(out.data)
+        grads.append(x.grad)
+    np.testing.assert_allclose(outs[0], outs[1], rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(grads[0], grads[1], rtol=1e-12, atol=1e-15)
+    if queries < 4:
+        assert not grads[0][:, queries:, :4].any()    # unread queries
+
+
+@pytest.mark.parametrize("shape,heads,queries,match", [
+    ((2, 4, 12), 5, 4, r"\(2, 4, 12\)"),
+    ((2, 4, 10), 1, 4, r"\(2, 4, 10\)"),
+    ((4, 12), 1, 4, r"\(4, 12\)"),
+    ((2, 4, 12), 2, 0, "queries"),
+    ((2, 4, 12), 2, 5, "queries"),
+])
+def test_attention_shape_errors(shape, heads, queries, match):
+    with pytest.raises(ShapeError, match=match):
+        T.attention(T.Tensor(np.zeros(shape)), heads, queries)
+
+
 # --- softmax ---------------------------------------------------------------
 
 def test_softmax_uniform():
