@@ -24,7 +24,7 @@ from .binio import atomic_open
 from .config import (build_model_spec, build_protocol_config,
                      build_train_settings, load_config, materialize)
 from .data import generate_synthetic, load_dataset, save_dataset
-from .engine import run_protocol
+from .engine import check_protocol_fits_data, run_protocol
 from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .memory import save_store
 from .metrics import (average_incremental_accuracy, read_summary_csv,
@@ -123,10 +123,7 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
     protocol = build_protocol_config(resolved)
     settings = build_train_settings(resolved)
     dataset = _build_dataset(resolved)
-    if protocol.total_classes > dataset.num_classes:
-        raise ConfigError(
-            f"protocol.total_classes {protocol.total_classes} exceeds dataset "
-            f"classes {dataset.num_classes}")
+    check_protocol_fits_data(protocol, dataset, settings)
     c, h, w = dataset.images.shape[1:]
     if h != w:
         raise ConfigError(f"dataset images must be square, got {h}x{w}")
@@ -269,7 +266,6 @@ def cmd_ablate(args) -> int:
                 f"token parity, got {base['model']['patch_size']} vs 2^{depth}")
     out_dir = Path(args.out) if args.out else _default_out_dir(
         args.config, base["run"]["seed"]) / f"ablate-{args.axis}"
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     grid = [["arm", "avg_inc_acc", "final_top1", "final_eta"]]
     run_dirs = []

@@ -20,8 +20,7 @@ from . import tensor as T
 from .augment import AugmentConfig, augment_batch, hflip, one_hot
 from .data import LabeledDataset, ProtocolConfig, StepPlan, build_protocol
 from .errors import ConfigError, TrainingDiverged
-from .memory import (BudgetPolicy, ExemplarStore, herding_select,
-                     per_class_budget)
+from .memory import ExemplarStore, herding_select, per_class_budget
 from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
                     cosine_logits, cosine_scores, expand_classifier,
@@ -381,25 +380,31 @@ def construct_exemplars(state: ModelState, dataset: LabeledDataset,
 # ---------------------------------------------------------------------------
 # protocol runner
 
-def _check_data_fits_protocol(plan: StepPlan, dataset: LabeledDataset,
-                              budget: BudgetPolicy,
-                              balanced_finetune: bool) -> None:
-    """Raise ConfigError, before anything trains, on data a step cannot use.
+def check_protocol_fits_data(protocol: ProtocolConfig, dataset: LabeledDataset,
+                             settings: TrainSettings) -> StepPlan:
+    """The protocol's step plan; ConfigError on data a step cannot use.
 
-    Every protocol class needs a training image: stage 1 trains on them and
-    herding embeds them. With the balanced finetune on, each later step's
-    seen classes must keep equal exemplar counts, and a class keeps
-    min(its training images, the step's per-class budget).
+    Callers run it before anything trains or is written. The dataset must
+    hold every protocol class, and every protocol class needs a training
+    image: stage 1 trains on them and herding embeds them. With the balanced
+    finetune on, each later step's seen classes must keep equal exemplar
+    counts, and a class keeps min(its training images, the step's per-class
+    budget).
     """
+    if protocol.total_classes > dataset.num_classes:
+        raise ConfigError(
+            f"protocol needs {protocol.total_classes} classes, dataset has "
+            f"{dataset.num_classes}")
+    plan = build_protocol(protocol)
     counts = {c: len(dataset.class_indices("train", c))
               for c in plan.class_order.tolist()}
     for cid, n in counts.items():
         if n == 0:
             raise ConfigError(f"protocol class {cid} has no training image")
-    if not balanced_finetune:
-        return
+    if not settings.balanced_finetune:
+        return plan
     for t, n_seen in enumerate(plan.seen_counts[1:], start=2):
-        per_class = per_class_budget(budget, n_seen)
+        per_class = per_class_budget(protocol.budget, n_seen)
         kept = {c: min(counts[c], per_class)
                 for c in plan.class_order[:n_seen].tolist()}
         if len(set(kept.values())) > 1:
@@ -408,19 +413,14 @@ def _check_data_fits_protocol(plan: StepPlan, dataset: LabeledDataset,
                 f"balanced finetune at step {t} needs equal exemplar counts: class "
                 f"{cid} has {counts[cid]} training images under a per-class budget "
                 f"of {per_class}, other classes keep up to {max(kept.values())}")
+    return plan
 
 
 def run_protocol(protocol: ProtocolConfig, dataset: LabeledDataset,
                  settings: TrainSettings, model_spec: ModelSpec, seed: int,
                  step_callback=None) -> list[StepReport]:
     """Execute the full incremental protocol; one StepReport per step."""
-    if protocol.total_classes > dataset.num_classes:
-        raise ConfigError(
-            f"protocol needs {protocol.total_classes} classes, dataset has "
-            f"{dataset.num_classes}")
-    plan = build_protocol(protocol)
-    _check_data_fits_protocol(plan, dataset, protocol.budget,
-                              settings.balanced_finetune)
+    plan = check_protocol_fits_data(protocol, dataset, settings)
     label_map = np.full(dataset.num_classes, -1, dtype=np.int64)
     for model_idx, cid in enumerate(plan.class_order):
         label_map[cid] = model_idx

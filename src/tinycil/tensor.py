@@ -5,10 +5,16 @@ with patchify/conv stems, a cosine head, and its losses need. At desk scale a
 node's Python and small-array overhead costs more than its arithmetic, so
 the transformer's hot paths are fused: `linear` is one node per projection
 and `attention` one node per block. The unfused ops (`matmul`, `softmax`,
-`index`, ...) stay for the head, the losses and the gradient checks. Arrays
-are numpy throughout; the tape is a flat list of nodes, and each node is
-released as backward consumes it, so a batch's activations and backward
-closures die by refcount during the pass and no tape outlives its batch.
+`index`, ...) stay for the head, the losses and the gradient checks.
+`conv2d` lowers to K-major im2col columns, [c*kh*kw, b*L]: its kernel
+gradient is one 2-D GEMM over the folded batch, and so are the columns of
+its input gradient, which a col2im scatters back. `linear` and `conv2d`
+decide when they run whether their input is tracked (`_needs_grad`); for an
+untracked input, such as the pixels the stems read, the backward forms no
+gradient toward it. Arrays are numpy throughout; the tape is a flat list of
+nodes, and each node is released as backward consumes it, so a batch's
+activations and backward closures die by refcount during the pass and no
+tape outlives its batch.
 Gradients accumulate additively within a single backward pass; running
 backward twice on the same tape raises.
 
@@ -170,6 +176,16 @@ def _tracked(t: Tensor, tape: Tape) -> bool:
     return t.requires_grad or t._tape is tape
 
 
+def _needs_grad(t: Tensor) -> bool:
+    """Whether an op recording now must form a gradient toward input t.
+
+    Decided when the op runs: an untracked input, or one left over from an
+    earlier tape, is a constant to the active tape.
+    """
+    tape = active_tape()
+    return tape is not None and _tracked(t, tape)
+
+
 def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -324,8 +340,7 @@ def linear(x, w, b) -> Tensor:
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dimensions differ: {x.shape} x {w.shape}")
     out = Tensor(np.matmul(x.data, w.data) + b.data)
-    tape = active_tape()
-    want_dx = tape is not None and _tracked(x, tape)
+    want_dx = _needs_grad(x)
 
     def _bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -528,19 +543,62 @@ def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    b, c = xp.shape[:2]
-    cols = np.empty((b, c, kh, kw, out_h, out_w), dtype=np.float64)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * out_h:stride,
-                                  j:j + stride * out_w:stride]
-    return cols.reshape(b, c * kh * kw, out_h * out_w)
+def _taps(k: int, stride: int, padding: int, size: int, out: int) -> list:
+    """Per kernel offset along one axis: (lo, hi, src).
+
+    Output positions [lo, hi) read the input inside the image, through the
+    slice `src` of the unpadded axis; the others read the zero padding.
+    """
+    taps = []
+    for i in range(k):
+        lo = min(out, max(0, (padding - i + stride - 1) // stride))
+        hi = max(lo, min(out, (size - 1 - i + padding) // stride + 1))
+        start = lo * stride + i - padding
+        taps.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
+    return taps
+
+
+# Each row of the columns is padded by one cache line (8 float64s). Without
+# it, b*L a power of two (batch 256 or 512) puts the rows a multiple of
+# 4 KiB apart, the strided per-image blocks the forward GEMM reads all map
+# to the same cache sets, and the second stem conv's forward at batch 512
+# runs about 1.4x slower (best of 250 calls, one OpenBLAS thread on a
+# 2-vCPU Intel Xeon VM).
+_COL_ROW_PAD = 8
+
+
+def _im2col(x: np.ndarray, ytaps: list, xtaps: list, out_h: int,
+            out_w: int) -> np.ndarray:
+    """K-major columns of x [b, c, h, w]: a [c*kh*kw, b*out_h*out_w] view.
+
+    Row (ci, i, j) holds channel ci at kernel offset (i, j) for every image
+    and output position, image-major, and zero where the offset reads the
+    padding, so no padded copy of x is made. Both conv gradients are then
+    single 2-D GEMMs over the folded batch.
+    """
+    b, c = x.shape[:2]
+    n = b * out_h * out_w
+    cols = np.empty((c * len(ytaps) * len(xtaps), n + _COL_ROW_PAD))[:, :n]
+    blocks = cols.reshape(c, len(ytaps), len(xtaps), b, out_h, out_w)
+    src = x.transpose(1, 0, 2, 3)                                # [c, b, h, w]
+    for i, (y0, y1, ys) in enumerate(ytaps):
+        for j, (x0, x1, xs) in enumerate(xtaps):
+            dst = blocks[:, i, j]
+            dst[:, :, :y0] = 0.0
+            dst[:, :, y1:] = 0.0
+            dst[:, :, y0:y1, :x0] = 0.0
+            dst[:, :, y0:y1, x1:] = 0.0
+            dst[:, :, y0:y1, x0:x1] = src[:, :, ys, xs]
+    return cols
 
 
 def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
-    """2-d cross-correlation of [b,c,h,w] with [c_out,c,kh,kw]."""
+    """2-d cross-correlation of [b,c,h,w] with [c_out,c,kh,kw].
+
+    The backward makes one GEMM for the kernel gradient and, only if x was
+    tracked when the op ran, one more plus a col2im for `dx`; the first
+    stem conv's pixels are not tracked, so it skips both.
+    """
     x, kernel = _coerce(x), _coerce(kernel)
     if x.data.ndim != 4 or kernel.data.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d operands, got {x.shape} and {kernel.shape}")
@@ -554,27 +612,27 @@ def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"conv2d output would be empty: input {x.shape}, kernel {kernel.shape}, "
             f"stride {stride}, padding {padding}")
-    if padding:
-        xp = np.zeros((b, c, h + 2 * padding, w + 2 * padding), dtype=np.float64)
-        xp[:, :, padding:padding + h, padding:padding + w] = x.data
-    else:
-        xp = x.data
-    cols = _im2col(xp, kh, kw, stride, out_h, out_w)          # [b, c*kh*kw, L]
-    kflat = kernel.data.reshape(c_out, c * kh * kw)
-    out = Tensor(np.matmul(kflat, cols).reshape(b, c_out, out_h, out_w))
+    ytaps = _taps(kh, stride, padding, h, out_h)
+    xtaps = _taps(kw, stride, padding, w, out_w)
+    k, L = c * kh * kw, out_h * out_w
+    cols = _im2col(x.data, ytaps, xtaps, out_h, out_w)           # [k, b*L]
+    kflat = kernel.data.reshape(c_out, k)
+    # each image's [k, L] block of cols is a strided view BLAS reads in place
+    out = Tensor(np.matmul(kflat, cols.reshape(k, b, L).transpose(1, 0, 2))
+                 .reshape(b, c_out, out_h, out_w))
+    want_dx = _needs_grad(x)
 
     def _bw(g):
-        gflat = g.reshape(b, c_out, out_h * out_w)
-        dkernel = np.einsum("bol,bkl->ok", gflat, cols).reshape(kernel.shape)
-        dcols = np.matmul(kflat.T, gflat)                      # [b, c*kh*kw, L]
-        dcols = dcols.reshape(b, c, kh, kw, out_h, out_w)
-        dxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + stride * out_h:stride,
-                    j:j + stride * out_w:stride] += dcols[:, :, i, j]
-        dx = dxp[:, :, padding:padding + h, padding:padding + w] if padding else dxp
-        return np.ascontiguousarray(dx), dkernel
+        g_k = g.reshape(b, c_out, L).transpose(1, 0, 2).reshape(c_out, b * L)
+        dkernel = np.matmul(g_k, cols.T).reshape(kernel.shape)
+        if not want_dx:
+            return None, dkernel
+        dcols = np.matmul(kflat.T, g_k).reshape(c, kh, kw, b, out_h, out_w)
+        dx = np.zeros((c, b, h, w))
+        for i, (y0, y1, ys) in enumerate(ytaps):
+            for j, (x0, x1, xs) in enumerate(xtaps):
+                dx[:, :, ys, xs] += dcols[:, i, j, :, y0:y1, x0:x1]
+        return np.ascontiguousarray(dx.transpose(1, 0, 2, 3)), dkernel
 
     return _record(out, (x, kernel), _bw)
 

@@ -1,9 +1,10 @@
 """The benchmark's tracer patches tensor ops by name; keep what it relies on.
 
-`perfbench/tracing.py` gives every name in `TENSOR_OPS` its own row, and both
-training workloads require a `tensor.matmul.bwd` span. A change that renames
-an op, or fuses away the last taped matmul, fails here instead of in the
-benchmark.
+`perfbench/tracing.py` gives every name in `TENSOR_OPS` its own row. Both
+training workloads require a `tensor.matmul.bwd` span; `conv_ft` also requires
+`tensor.conv2d.bwd` and `tensor.batch_norm.bwd`, and `patch_steps` must never
+enter `tensor.conv2d.fwd`. A change that renames an op, or fuses away the last
+taped node of one, fails here instead of in the benchmark.
 """
 
 from __future__ import annotations
@@ -34,23 +35,48 @@ def test_traced_ops_are_public_tensor_functions():
         assert fn.__module__ == T.__name__, name
 
 
-def test_taped_batch_records_a_matmul_node(monkeypatch):
-    recorded = []
-    matmul = T.matmul
+def _spy_on(monkeypatch, name, recorded):
+    """Replace T.<name> by a wrapper that logs whether each output was taped."""
+    op = getattr(T, name)
 
-    def spy(a, b):
-        out = matmul(a, b)
-        recorded.append(out.tape_id is not None)
+    def spy(*args, **kwargs):
+        out = op(*args, **kwargs)
+        recorded.append((name, out.tape_id is not None))
         return out
 
-    monkeypatch.setattr(T, "matmul", spy)
+    monkeypatch.setattr(T, name, spy)
+
+
+def _taped_batch(stem):
+    spec = M.ModelSpec(image_size=8, stem_kind=stem, patch_size=4,
+                       stem_channels=(8, 16), embed_dim=16, num_blocks=1,
+                       num_classes=3)
+    state = M.init_model(spec, SplitMix64(1))
+    images = np.random.default_rng(0).uniform(0, 1, (4, 3, 8, 8))
+    with T.Tape():
+        M.cosine_logits(state, M.forward_features(state, images, mode="train"))
+
+
+def test_conv_stem_batch_records_conv2d_and_batch_norm_nodes(monkeypatch):
+    recorded = []
+    for name in ("conv2d", "batch_norm"):
+        _spy_on(monkeypatch, name, recorded)
+    _taped_batch("conv")
+    assert ("conv2d", True) in recorded
+    assert ("batch_norm", True) in recorded
+
+
+def test_patchify_batch_never_calls_conv2d(monkeypatch):
+    recorded = []
+    _spy_on(monkeypatch, "conv2d", recorded)
+    _taped_batch("patchify")
+    assert recorded == []
+
+
+def test_taped_batch_records_a_matmul_node(monkeypatch):
+    recorded = []
+    _spy_on(monkeypatch, "matmul", recorded)
     for stem in ("patchify", "conv"):
-        spec = M.ModelSpec(image_size=8, stem_kind=stem, patch_size=4,
-                           stem_channels=(8, 16), embed_dim=16, num_blocks=1,
-                           num_classes=3)
-        state = M.init_model(spec, SplitMix64(1))
-        images = np.random.default_rng(0).uniform(0, 1, (4, 3, 8, 8))
         recorded.clear()
-        with T.Tape():
-            M.cosine_logits(state, M.forward_features(state, images, mode="train"))
-        assert any(recorded), stem
+        _taped_batch(stem)
+        assert ("matmul", True) in recorded, stem

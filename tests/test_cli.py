@@ -351,7 +351,14 @@ def test_data_that_cannot_fill_a_step_exit_2_before_training(tmp_path, capsys,
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.splitlines()) == 1 and match in err
-    assert not list(out.glob("checkpoints/*"))
+    assert not out.exists()
+
+
+def test_ablate_on_data_that_cannot_fill_a_step_leaves_no_directory(tmp_path):
+    out = tmp_path / "ab"
+    assert main(["ablate", "--config", str(_file_config_keeping(tmp_path, {1: 0})),
+                 "--axis", "bias_correction", "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_unequal_train_counts_pass_without_balanced_finetune(tmp_path):

@@ -91,13 +91,8 @@ def test_linear_shape_error_names_shapes():
     assert "(2, 3)" in str(e.value) and "(4, 2)" in str(e.value)
 
 
-def _linear_backward_gemms(x, monkeypatch):
-    """Backward of sum(linear(x, w, b) * c); returns x, w and np.matmul calls."""
-    rng = RNG(4)
-    w = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    b = T.Tensor(rng.normal(size=3), requires_grad=True)
-    with T.Tape() as tape:
-        loss = T.sum_(T.mul(T.linear(x, w, b), rng.normal(size=(2, 5, 3))))
+def _backward_gemms(tape, loss, monkeypatch):
+    """Run backward with np.matmul spied on; the shape of each call's b operand."""
     calls = []
     matmul = np.matmul
 
@@ -108,6 +103,17 @@ def _linear_backward_gemms(x, monkeypatch):
     monkeypatch.setattr(np, "matmul", spy)
     T.backward(tape, loss)
     monkeypatch.undo()
+    return calls
+
+
+def _linear_backward_gemms(x, monkeypatch):
+    """Backward of sum(linear(x, w, b) * c); returns the np.matmul calls."""
+    rng = RNG(4)
+    w = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    b = T.Tensor(rng.normal(size=3), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_(T.mul(T.linear(x, w, b), rng.normal(size=(2, 5, 3))))
+    calls = _backward_gemms(tape, loss, monkeypatch)
     assert w.grad is not None and b.grad is not None
     return calls
 
@@ -292,6 +298,95 @@ def test_conv2d_grads_vs_fd_padded():
     k = rng.uniform(-1, 1, (2, 2, 3, 3))
     _check_grads(lambda a, b: T.sum_(T.conv2d(a, b, stride=2, padding=1)),
                  [x, k], tol=1e-5)
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride", [
+    ((2, 2, 5, 5), (2, 2, 3, 3), 1),          # stride 1, padding 1
+    ((2, 2, 5, 6), (3, 2, 2, 3), 1),          # non-square kernel, c_out != c
+    ((2, 3, 6, 5), (4, 3, 3, 2), 2),
+])
+def test_conv2d_grads_vs_fd_padding_one(x_shape, k_shape, stride):
+    rng = RNG(10)
+    x = rng.uniform(-1, 1, x_shape)
+    k = rng.uniform(-1, 1, k_shape)
+    out_shape = T.conv2d(T.Tensor(x), T.Tensor(k), stride=stride, padding=1).shape
+    w = rng.uniform(-1, 1, out_shape)
+    _check_grads(lambda a, b: T.sum_(T.mul(T.conv2d(a, b, stride=stride, padding=1), w)),
+                 [x, k], tol=1e-5)
+
+
+def _loop_conv(x, k, g, stride, padding):
+    """Direct loops over output positions: the output, dx and dkernel of sum(conv * g)."""
+    kh, kw = k.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = np.zeros(g.shape)
+    dxp = np.zeros_like(xp)
+    dk = np.zeros_like(k)
+    for oy in range(g.shape[2]):
+        for ox in range(g.shape[3]):
+            win = (slice(None), slice(None), slice(oy * stride, oy * stride + kh),
+                   slice(ox * stride, ox * stride + kw))
+            out[:, :, oy, ox] = np.einsum("bcij,ocij->bo", xp[win], k)
+            dk += np.einsum("bo,bcij->ocij", g[:, :, oy, ox], xp[win])
+            dxp[win] += np.einsum("bo,ocij->bcij", g[:, :, oy, ox], k)
+    h, w = x.shape[2:]
+    return out, dxp[:, :, padding:padding + h, padding:padding + w], dk
+
+
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", [
+    ((64, 3, 16, 16), (16, 3, 3, 3), 2, 1),   # the conv stem's two convs
+    ((64, 16, 8, 8), (32, 16, 3, 3), 2, 1),
+    ((2, 3, 5, 7), (4, 3, 2, 3), 1, 1),
+    ((2, 2, 4, 4), (3, 2, 3, 3), 2, 2),
+    ((2, 2, 3, 3), (1, 2, 5, 5), 1, 2),       # taps that read only padding
+    ((3, 2, 6, 5), (2, 2, 1, 1), 3, 0),
+])
+def test_conv2d_matches_direct_loops(x_shape, k_shape, stride, padding):
+    rng = RNG(11)
+    x = T.Tensor(rng.normal(size=x_shape), requires_grad=True)
+    k = T.Tensor(rng.normal(size=k_shape), requires_grad=True)
+    with T.Tape() as tape:
+        out = T.conv2d(x, k, stride=stride, padding=padding)
+        g = rng.normal(size=out.shape)
+        loss = T.sum_(T.mul(out, g))
+    T.backward(tape, loss)
+    ref_out, ref_dx, ref_dk = _loop_conv(x.data, k.data, g, stride, padding)
+    for got, ref in ((out.data, ref_out), (x.grad, ref_dx), (k.grad, ref_dk)):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _conv2d_backward_gemms(x, monkeypatch):
+    """Backward of sum(conv2d(x, k) * c); returns the np.matmul calls it makes."""
+    rng = RNG(12)
+    k = T.Tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_(T.mul(T.conv2d(x, k, stride=2, padding=1),
+                            rng.normal(size=(2, 4, 3, 3))))
+    calls = _backward_gemms(tape, loss, monkeypatch)
+    assert k.grad is not None
+    return calls
+
+
+def test_conv2d_untracked_input_gets_no_gradient(monkeypatch):
+    x = T.Tensor(RNG(13).normal(size=(2, 3, 6, 6)))
+    assert _conv2d_backward_gemms(x, monkeypatch) == [(18, 27)]     # dkernel only
+    assert x.grad is None
+
+
+def test_conv2d_input_from_an_earlier_tape_gets_no_gradient(monkeypatch):
+    w0 = T.Tensor(RNG(14).normal(size=(2, 3, 6, 6)), requires_grad=True)
+    with T.Tape():
+        x = T.mul(w0, 2.0)
+    assert x._tape is not None
+    assert _conv2d_backward_gemms(x, monkeypatch) == [(18, 27)]
+    assert x.grad is None
+
+
+def test_conv2d_tracked_input_gets_gradient(monkeypatch):
+    x = T.Tensor(RNG(13).normal(size=(2, 3, 6, 6)), requires_grad=True)
+    assert len(_conv2d_backward_gemms(x, monkeypatch)) == 2
+    assert x.grad.shape == (2, 3, 6, 6)
 
 
 # --- backward contracts ------------------------------------------------------
