@@ -171,8 +171,8 @@ def cmd_run(args) -> int:
     if args.seed is not None:
         raw.setdefault("run", {})["seed"] = args.seed
     resolved = materialize(raw)
-    out_dir = Path(args.out) if args.out else _default_out_dir(
-        args.config, resolved["run"]["seed"])
+    out_dir = Path(args.out or resolved["run"]["out"] or _default_out_dir(
+        args.config, resolved["run"]["seed"]))
     reports = execute_run(resolved, out_dir)
     avg = average_incremental_accuracy([r.top1 for r in reports])
     print(f"done: {len(reports)} steps, avg incremental accuracy "
@@ -234,8 +234,7 @@ def cmd_compare(args) -> int:
         series.append((f"{run['name']} [{100 * avg:.2f}]",
                        [r["n_classes"] for r in run["rows"]], accs))
     _write_csv(out_dir / "compare_averages.csv", avg_rows)
-    write_line_chart_svg(out_dir / "compare.svg", series,
-                         x_label="classes seen", y_label="top-1 accuracy")
+    write_line_chart_svg(out_dir / "compare.svg", series)
     print(f"compared {len(runs)} runs -> {out_dir}")
     return 0
 
@@ -264,14 +263,16 @@ def cmd_ablate(args) -> int:
             raise ConfigError(
                 f"stem ablation needs model.patch_size == 2^stem_depth for "
                 f"token parity, got {base['model']['patch_size']} vs 2^{depth}")
-    out_dir = Path(args.out) if args.out else _default_out_dir(
-        args.config, base["run"]["seed"]) / f"ablate-{args.axis}"
+    out_dir = Path(args.out or base["run"]["out"] or _default_out_dir(
+        args.config, base["run"]["seed"]) / f"ablate-{args.axis}")
 
     grid = [["arm", "avg_inc_acc", "final_top1", "final_eta"]]
     run_dirs = []
     for arm_name, (section, key, value) in AXES[args.axis]:
         arm_cfg = json.loads(json.dumps(base))     # deep copy
         arm_cfg[section][key] = value
+        # run.out named the ablation's root: a rerun of one arm must not land there
+        arm_cfg["run"]["out"] = ""
         arm_dir = out_dir / arm_name
         print(f"[{args.axis}={arm_name}]")
         reports = execute_run(arm_cfg, arm_dir)
@@ -304,12 +305,13 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 # SVG chart
 
-def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
-                         width: int = 640, height: int = 420) -> None:
-    """Polyline chart; byte-stable except for the timestamp comment.
+def write_line_chart_svg(path, series) -> None:
+    """Top-1 accuracy against classes seen, one polyline per
+    `(label, xs, ys)` series; byte-stable except for the timestamp comment.
 
     Labels are XML-escaped, so any run name gives a well-formed file.
     """
+    width, height = 640, 420
     ml, mr, mt, mb = 60, 160, 20, 45
     plot_w, plot_h = width - ml - mr, height - mt - mb
     xs_all = [x for _, xs, _ in series for x in xs]
@@ -342,13 +344,11 @@ def write_line_chart_svg(path, series, x_label: str = "", y_label: str = "",
                      f'x2="{px(x):.1f}" y2="{mt + plot_h + 4}" stroke="black"/>')
         parts.append(f'<text x="{px(x):.1f}" y="{mt + plot_h + 16}" '
                      f'font-size="11" text-anchor="middle">{x}</text>')
-    if x_label:
-        parts.append(f'<text x="{ml + plot_w / 2:.1f}" y="{height - 8}" '
-                     f'font-size="12" text-anchor="middle">{escape(x_label, quote=False)}</text>')
-    if y_label:
-        parts.append(f'<text x="14" y="{mt + plot_h / 2:.1f}" font-size="12" '
-                     f'text-anchor="middle" transform="rotate(-90 14 '
-                     f'{mt + plot_h / 2:.1f})">{escape(y_label, quote=False)}</text>')
+    parts.append(f'<text x="{ml + plot_w / 2:.1f}" y="{height - 8}" '
+                 'font-size="12" text-anchor="middle">classes seen</text>')
+    parts.append(f'<text x="14" y="{mt + plot_h / 2:.1f}" font-size="12" '
+                 f'text-anchor="middle" transform="rotate(-90 14 '
+                 f'{mt + plot_h / 2:.1f})">top-1 accuracy</text>')
     # series
     for i, (label, xs, ys) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]

@@ -224,8 +224,7 @@ def build_train_settings(resolved: dict) -> TrainSettings:
                          augment=AugmentConfig(**aug))
 
 
-def build_model_spec(resolved: dict, image_size: int, channels: int,
-                     num_classes: int | None = None) -> ModelSpec:
+def build_model_spec(resolved: dict, image_size: int, channels: int) -> ModelSpec:
     m = resolved["model"]
     try:
         channels_list = tuple(int(c) for c in str(m["stem_channels"]).split(",") if c)
@@ -240,6 +239,6 @@ def build_model_spec(resolved: dict, image_size: int, channels: int,
             stem_depth=m["stem_depth"], stem_channels=channels_list,
             embed_dim=m["embed_dim"], num_blocks=m["num_blocks"],
             num_heads=m["num_heads"], mlp_ratio=m["mlp_ratio"],
-            num_classes=num_classes or resolved["protocol"]["total_classes"])
+            num_classes=resolved["protocol"]["total_classes"])
     except ConfigError as exc:
         raise ConfigError(f"model: {exc}") from None

@@ -17,22 +17,21 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .augment import AugmentConfig, augment_batch, hflip, one_hot
+from .augment import AugmentConfig, augment_batch, one_hot
 from .data import LabeledDataset, ProtocolConfig, StepPlan, build_protocol
 from .errors import ConfigError, TrainingDiverged
 from .memory import ExemplarStore, herding_select, per_class_budget
 from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
-                    cosine_logits, cosine_scores, expand_classifier,
+                    cosine_logits, cosine_scores, embed, expand_classifier,
                     forward_features, init_model)
 from .optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
-                    scaled_base_lr, zero_grads)
+                    scaled_base_lr)
 from .rng import SplitMix64
 from .tensor import Tensor
 
 LOG_EPS = 1e-12
 NORM_EPS = 1e-12
-EMBED_CHUNK = 512          # images per untaped eval-mode forward
 
 
 @dataclass
@@ -198,19 +197,22 @@ def _is_nodecay(name: str) -> bool:
 
 def build_param_groups(state: ModelState,
                        settings: TrainSettings) -> list[ParamGroup]:
-    names = state.named_parameters()
-    backbone = [n for n in names if n.startswith("backbone.")]
-    classifier = [n for n in names if n.startswith("classifier.")]
+    params = state.named_parameters()
+
+    def pick(prefix, nodecay):
+        return {n: t for n, t in params.items()
+                if n.startswith(prefix) and _is_nodecay(n) == nodecay}
+
     clf_lr = settings.backbone_lr * settings.classifier_lr_multiplier
     return [
-        ParamGroup("backbone", [n for n in backbone if not _is_nodecay(n)],
+        ParamGroup("backbone", pick("backbone.", False),
                    base_lr=settings.backbone_lr,
                    weight_decay=settings.weight_decay),
-        ParamGroup("backbone_nodecay", [n for n in backbone if _is_nodecay(n)],
+        ParamGroup("backbone_nodecay", pick("backbone.", True),
                    base_lr=settings.backbone_lr, weight_decay=0.0),
-        ParamGroup("classifier", [n for n in classifier if not _is_nodecay(n)],
+        ParamGroup("classifier", pick("classifier.", False),
                    base_lr=clf_lr, weight_decay=settings.weight_decay),
-        ParamGroup("classifier_nodecay", [n for n in classifier if _is_nodecay(n)],
+        ParamGroup("classifier_nodecay", pick("classifier.", True),
                    base_lr=clf_lr, weight_decay=0.0),
     ]
 
@@ -250,9 +252,7 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
                   batch_loss, stage: str) -> StageTrace:
     """Train the `groups` parameters on `batch_loss(idx)`, the scalar loss of
     rows `idx` of the stage's n rows, which runs on an active tape."""
-    state_params = ctx.state.named_parameters()
-    params = {name: state_params[name] for g in groups for name in g.param_names}
-    opt = AdamW(params, groups, grad_clip=ctx.settings.grad_clip)
+    opt = AdamW(groups, grad_clip=ctx.settings.grad_clip)
     trace = StageTrace(loss_trace=[], eta_trace=[])
     for epoch in range(sched.total_epochs):
         lrs = {g.name: lr_at_epoch(sched, g.name, epoch) for g in groups}
@@ -269,7 +269,7 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
                     batch=batch_no)
             T.backward(tape, loss)
             opt.step(lrs)
-            zero_grads(params)
+            opt.zero_grad()
             clamp_temperature(ctx.state)
             epoch_losses.append(value)
         trace.loss_trace.append(float(np.mean(epoch_losses)))
@@ -311,18 +311,6 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     return trace
 
 
-def _embed(state: ModelState, images_u8: np.ndarray,
-           flip: bool = False) -> np.ndarray:
-    """Eval-mode features of uint8 images, optionally mirrored, in chunks."""
-    feats = []
-    for start in range(0, len(images_u8), EMBED_CHUNK):
-        chunk = images_u8[start:start + EMBED_CHUNK].astype(np.float64) / 255.0
-        if flip:
-            chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
-        feats.append(forward_features(state, Tensor(chunk), mode="eval").data)
-    return np.concatenate(feats, axis=0)
-
-
 def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     """Classifier-only training on the balanced exemplar set (CE only).
 
@@ -338,8 +326,8 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     images_u8, orig_labels = ctx.store.as_arrays()
     labels = ctx.label_map[orig_labels]
     num_classes = ctx.state.spec.num_classes
-    feats = _embed(ctx.state, images_u8)
-    mirrored = (_embed(ctx.state, images_u8, flip=True)
+    feats = embed(ctx.state, images_u8)
+    mirrored = (embed(ctx.state, images_u8, flip=True)
                 if settings.augment.hflip else None)
 
     groups = build_param_groups(ctx.state, replace(
@@ -370,7 +358,7 @@ def construct_exemplars(state: ModelState, dataset: LabeledDataset,
     out: dict[int, np.ndarray] = {}
     for cid in class_ids:
         idx = dataset.class_indices("train", int(cid))
-        f = _embed(state, dataset.images[idx])
+        f = embed(state, dataset.images[idx])
         f = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), NORM_EPS)
         order = herding_select(f, budget)
         out[int(cid)] = dataset.images[idx[order]]

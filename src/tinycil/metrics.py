@@ -16,8 +16,7 @@ import numpy as np
 
 from .binio import atomic_open
 from .errors import ConfigError
-from .model import ModelState, cosine_logits, forward_features
-from .tensor import Tensor
+from .model import ModelState, cosine_logits, embed
 
 SUMMARY_COLUMNS = ["step", "n_classes", "top1", "bias_rate", "eta",
                    "avg_inc_acc_so_far"]
@@ -88,21 +87,14 @@ def average_incremental_accuracy(step_accuracies,
 
 
 def evaluate(state: ModelState, images: np.ndarray, labels: np.ndarray,
-             n_classes: int, batch_size: int = 512) -> tuple[float, np.ndarray]:
-    """Deterministic eval-mode top-1 and confusion over the first n_classes."""
+             n_classes: int) -> tuple[float, np.ndarray]:
+    """Deterministic eval-mode top-1 and confusion of uint8 images over the
+    first n_classes."""
     if state.spec.num_classes < n_classes:
         raise ConfigError(
             f"model has {state.spec.num_classes} classes, asked for {n_classes}")
-    labels = np.asarray(labels, dtype=np.int64)
-    preds = np.empty(len(labels), dtype=np.int64)
-    for start in range(0, len(labels), batch_size):
-        chunk = images[start:start + batch_size]
-        if chunk.dtype == np.uint8:
-            chunk = chunk.astype(np.float64) / 255.0
-        feats = forward_features(state, Tensor(chunk), mode="eval")
-        probs = cosine_logits(state, feats).data
-        preds[start:start + len(chunk)] = probs[:, :n_classes].argmax(axis=1)
-    cm = confusion_matrix(labels, preds, n_classes)
+    probs = cosine_logits(state, embed(state, images)).data
+    cm = confusion_matrix(labels, probs[:, :n_classes].argmax(axis=1), n_classes)
     top1 = float(np.trace(cm) / cm.sum()) if cm.sum() else 0.0
     return top1, cm
 

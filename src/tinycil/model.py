@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
+from .augment import hflip
 from .binio import Reader, atomic_open
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
@@ -31,6 +32,7 @@ BN_MOMENTUM = 0.1
 NORM_EPS = 1e-12
 TEMPERATURE_FLOOR = 1e-3
 INIT_STD = 0.02
+EMBED_CHUNK = 512          # images per untaped eval-mode forward
 
 CHECKPOINT_MAGIC = b"CILM"
 CHECKPOINT_VERSION = 1
@@ -121,6 +123,12 @@ class ModelState:
         out.update({f"classifier.{k}": v for k, v in self.classifier.items()})
         return out
 
+    def arrays(self):
+        """Yield `(kind, name, array)` for every entry, in layout order."""
+        for kind, entries in enumerate((self.backbone, self.classifier, self.buffers)):
+            for name, v in entries.items():
+                yield kind, name, v if kind == _KIND_BUFFER else v.data
+
 
 def layout(spec: ModelSpec):
     """Yield `(kind, name, shape, init)` for every checkpoint entry, in file order.
@@ -166,12 +174,13 @@ def layout(spec: ModelSpec):
             yield buffer, f"stem.conv{i}_running_var", (c,), "ones"
 
 
-def _state(spec: ModelSpec, entries) -> ModelState:
-    """ModelState from `(kind, name, array)` triples; parameters get tracked."""
+def _state(spec: ModelSpec, entries, requires_grad: bool = True) -> ModelState:
+    """ModelState from `(kind, name, array)` triples; parameters get tracked
+    unless `requires_grad` is off."""
     groups = ({}, {}, {})                # indexed by entry kind
     for kind, name, arr in entries:
         groups[kind][name] = (arr if kind == _KIND_BUFFER
-                              else Tensor(arr, requires_grad=True))
+                              else Tensor(arr, requires_grad=requires_grad))
     return ModelState(spec, *groups)
 
 
@@ -279,6 +288,21 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
                         state.backbone["final_norm_bias"], eps=LN_EPS)
 
 
+def embed(state: ModelState, images_u8: np.ndarray,
+          flip: bool = False) -> np.ndarray:
+    """Eval-mode features of uint8 images, optionally mirrored, in chunks."""
+    if images_u8.dtype != np.uint8:
+        raise TypeError(f"embed takes uint8 images, got {images_u8.dtype}")
+    feats = np.empty((len(images_u8), state.spec.embed_dim))
+    for start in range(0, len(images_u8), EMBED_CHUNK):
+        chunk = images_u8[start:start + EMBED_CHUNK].astype(np.float64) / 255.0
+        if flip:
+            chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
+        feats[start:start + len(chunk)] = forward_features(
+            state, Tensor(chunk), mode="eval").data
+    return feats
+
+
 def cosine_scores(state: ModelState, features: Tensor) -> Tensor:
     """Cosine similarity of normalized features against normalized class rows."""
     fbar = T.l2_normalize(features, axis=-1, eps=NORM_EPS)
@@ -317,34 +341,27 @@ def expand_classifier(state: ModelState, new_class_count: int,
                       classifier=classifier, buffers=state.buffers)
 
 
-def clamp_temperature(state: ModelState, floor: float = TEMPERATURE_FLOOR) -> None:
-    """Keep η positive after optimizer steps; no-op when already above floor."""
+def clamp_temperature(state: ModelState) -> None:
+    """Keep η positive after optimizer steps; no-op when already above the floor."""
     eta = state.classifier["temperature"].data
-    if eta[0] < floor:
-        eta[0] = floor
+    if eta[0] < TEMPERATURE_FLOOR:
+        eta[0] = TEMPERATURE_FLOOR
 
 
 def clone_state(state: ModelState, requires_grad: bool = True) -> ModelState:
     """Deep copy (used for the frozen old-model snapshot at each step)."""
-    backbone = {k: Tensor(v.data.copy(), requires_grad=requires_grad)
-                for k, v in state.backbone.items()}
-    classifier = {k: Tensor(v.data.copy(), requires_grad=requires_grad)
-                  for k, v in state.classifier.items()}
-    buffers = {k: v.copy() for k, v in state.buffers.items()}
-    return ModelState(spec=state.spec, backbone=backbone,
-                      classifier=classifier, buffers=buffers)
+    return _state(state.spec, ((kind, name, arr.copy())
+                               for kind, name, arr in state.arrays()),
+                  requires_grad)
 
 
-def state_hash(state: ModelState, include_classifier: bool = True,
-               include_buffers: bool = True) -> str:
-    """SHA-256 over parameter names and exact bytes; order-independent."""
+def state_hash(state: ModelState, include_classifier: bool = True) -> str:
+    """SHA-256 over entry names, shapes and exact bytes; order-independent."""
     h = hashlib.sha256()
-    entries = [("backbone." + k, v.data) for k, v in state.backbone.items()]
-    if include_classifier:
-        entries += [("classifier." + k, v.data) for k, v in state.classifier.items()]
-    if include_buffers:
-        entries += [("buffer." + k, v) for k, v in state.buffers.items()]
-    for name, arr in sorted(entries):
+    prefix = ("backbone.", "classifier.", "buffer.")     # indexed by entry kind
+    entries = sorted((prefix[kind] + name, arr) for kind, name, arr in state.arrays()
+                     if include_classifier or kind != _KIND_CLASSIFIER)
+    for name, arr in entries:
         h.update(name.encode())
         h.update(str(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
@@ -369,9 +386,7 @@ def save_checkpoint(state: ModelState, path) -> None:
     chunks.append(struct.pack("<IIIdI", spec.embed_dim, spec.num_blocks,
                               spec.num_heads, spec.mlp_ratio, spec.num_classes))
 
-    entries = [(_KIND_BACKBONE, k, v.data) for k, v in state.backbone.items()]
-    entries += [(_KIND_CLASSIFIER, k, v.data) for k, v in state.classifier.items()]
-    entries += [(_KIND_BUFFER, k, v) for k, v in state.buffers.items()]
+    entries = list(state.arrays())
     chunks.append(struct.pack("<I", len(entries)))
     for kind, name, arr in entries:
         raw = name.encode("utf-8")

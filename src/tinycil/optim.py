@@ -1,9 +1,10 @@
 """AdamW with decoupled decay, parameter groups, and warmup-cosine schedule.
 
 Learning rates are stated at a reference batch size of 512 and scaled by
-batch_size/512 at schedule time. Groups partition the parameters the
-optimizer is given; a stage that trains part of the model (the balanced
-finetune trains only the classifier) passes only that part.
+batch_size/512 at schedule time. Each group holds its parameter tensors, so
+the optimizer trains exactly the tensors its groups hold; a stage that trains
+part of the model (the balanced finetune trains only the classifier) passes
+only the groups of that part.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ REFERENCE_BATCH = 512
 @dataclass
 class ParamGroup:
     name: str
-    param_names: list[str]
+    params: dict[str, Tensor]      # names are unique across an optimizer's groups
     base_lr: float                 # at the reference batch size
     weight_decay: float = 0.0
 
@@ -36,7 +37,6 @@ class ScheduleConfig:
     warmup_epochs: int = 0
     min_lr: float = 1e-5
     batch_size: int = REFERENCE_BATCH
-    reference_batch: int = REFERENCE_BATCH
 
     def __post_init__(self):
         if self.total_epochs < 1:
@@ -46,19 +46,18 @@ class ScheduleConfig:
                 f"warmup_epochs {self.warmup_epochs} must be < total_epochs "
                 f"{self.total_epochs}")
         for name, lr in self.peak_lr.items():
-            scaled = scaled_base_lr(lr, self.batch_size, self.reference_batch)
+            scaled = scaled_base_lr(lr, self.batch_size)
             if self.min_lr > scaled:
                 raise ConfigError(
                     f"min_lr {self.min_lr} exceeds scaled peak {scaled} for "
                     f"group {name!r}")
 
 
-def scaled_base_lr(base_lr: float, batch_size: int,
-                   reference_batch: int = REFERENCE_BATCH) -> float:
-    """Linear LR scaling: base_lr * batch_size / reference_batch."""
+def scaled_base_lr(base_lr: float, batch_size: int) -> float:
+    """Linear LR scaling: base_lr * batch_size / REFERENCE_BATCH."""
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
-    return base_lr * batch_size / reference_batch
+    return base_lr * batch_size / REFERENCE_BATCH
 
 
 def lr_at_epoch(cfg: ScheduleConfig, group: str, epoch: int) -> float:
@@ -66,7 +65,7 @@ def lr_at_epoch(cfg: ScheduleConfig, group: str, epoch: int) -> float:
     if not 0 <= epoch < cfg.total_epochs:
         raise ConfigError(
             f"epoch {epoch} outside [0, {cfg.total_epochs}) for group {group!r}")
-    peak = scaled_base_lr(cfg.peak_lr[group], cfg.batch_size, cfg.reference_batch)
+    peak = scaled_base_lr(cfg.peak_lr[group], cfg.batch_size)
     lo = min(cfg.min_lr, peak)
     if epoch < cfg.warmup_epochs:
         return lo + (peak - lo) * epoch / cfg.warmup_epochs
@@ -75,11 +74,6 @@ def lr_at_epoch(cfg: ScheduleConfig, group: str, epoch: int) -> float:
         return peak
     frac = (epoch - cfg.warmup_epochs) / span
     return lo + 0.5 * (peak - lo) * (1.0 + math.cos(math.pi * frac))
-
-
-def zero_grads(params: dict[str, Tensor]) -> None:
-    for t in params.values():
-        t.grad = None
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
@@ -92,9 +86,8 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
 
 @dataclass
 class AdamW:
-    """Decoupled weight decay Adam over named parameter groups."""
+    """Decoupled weight decay Adam over the tensors its groups hold."""
 
-    params: dict[str, Tensor]
     groups: list[ParamGroup]
     beta1: float = 0.9
     beta2: float = 0.999
@@ -104,25 +97,24 @@ class AdamW:
     _v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
     _t: int = 0
 
-    def __post_init__(self):
-        grouped = [n for g in self.groups for n in g.param_names]
-        if sorted(grouped) != sorted(self.params):
-            missing = set(self.params) - set(grouped)
-            extra = set(grouped) - set(self.params)
-            raise ConfigError(
-                f"groups must partition parameters (missing {sorted(missing)}, "
-                f"unknown {sorted(extra)})")
+    def _params(self) -> dict[str, Tensor]:
+        return {name: p for g in self.groups for name, p in g.params.items()}
+
+    def zero_grad(self) -> None:
+        for t in self._params().values():
+            t.grad = None
 
     def step(self, lrs: dict[str, float]) -> None:
         """One update; `lrs` maps group name to this step's learning rate."""
-        for name, p in self.params.items():
+        params = self._params()
+        for name, p in params.items():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingDiverged(f"non-finite gradient in {name!r}")
         if self.grad_clip > 0.0:
-            norm = global_grad_norm(self.params)
+            norm = global_grad_norm(params)
             if norm > self.grad_clip:
                 scale = self.grad_clip / norm
-                for t in self.params.values():
+                for t in params.values():
                     if t.grad is not None:
                         t.grad = t.grad * scale
         self._t += 1
@@ -130,8 +122,7 @@ class AdamW:
         bc2 = 1.0 - self.beta2 ** self._t
         for group in self.groups:
             lr = lrs[group.name]
-            for name in group.param_names:
-                p = self.params[name]
+            for name, p in group.params.items():
                 g = p.grad
                 if g is None:
                     continue

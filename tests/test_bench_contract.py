@@ -5,11 +5,18 @@ training workloads require a `tensor.matmul.bwd` span; `conv_ft` also requires
 `tensor.conv2d.bwd` and `tensor.batch_norm.bwd`, and `patch_steps` must never
 enter `tensor.conv2d.fwd`. A change that renames an op, or fuses away the last
 taped node of one, fails here instead of in the benchmark.
+
+`tracing.install` also patches the engine, model, metrics and optimizer
+functions it times, and raises for a name no tinycil module holds any more.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -80,3 +87,34 @@ def test_taped_batch_records_a_matmul_node(monkeypatch):
         recorded.clear()
         _taped_batch(stem)
         assert ("matmul", True) in recorded, stem
+
+
+_INSTALL_AND_EVALUATE = """
+import importlib.util, json, sys
+import numpy as np
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from tinycil import metrics, model
+from tinycil.rng import SplitMix64
+state = model.init_model(model.ModelSpec(image_size=8, patch_size=4, embed_dim=16,
+                                         num_blocks=1, num_classes=3), SplitMix64(1))
+metrics.evaluate(state, np.zeros((4, 3, 8, 8), np.uint8), np.zeros(4, int), 3)
+print(json.dumps(sorted({span[0] for span in tracer.spans})))
+"""
+
+
+def test_tracer_installs_and_times_evaluate():
+    # in a subprocess: install rebinds functions in every tinycil module
+    src = str(TRACING.parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", _INSTALL_AND_EVALUATE, str(TRACING)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    names = json.loads(done.stdout)
+    for name in ("metrics.evaluate", "model.forward_eval", "model.stem",
+                 "model.head"):
+        assert name in names, name

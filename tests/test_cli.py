@@ -288,6 +288,41 @@ def test_rerun_from_manifest_is_byte_identical(config_path, tmp_path):
     assert (out1 / "steps.jsonl").exists()
 
 
+@pytest.mark.parametrize("command,artifact", [
+    (["run"], "summary.csv"),
+    (["ablate", "--axis", "bias_correction"], "ablation.csv"),
+])
+def test_run_out_in_config_is_the_output_directory(tmp_path, monkeypatch,
+                                                   command, artifact):
+    monkeypatch.setenv("TINYCIL_OUT_ROOT", str(tmp_path / "default"))
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "out.ini"
+    cfg.write_text(TINY_CONFIG.replace("[run]\n", f"[run]\nout = {out}\n"))
+    assert main([command[0], "--config", str(cfg), *command[1:]]) == 0
+    assert (out / artifact).exists()
+    assert not (tmp_path / "default").exists()
+    if command[0] == "ablate":
+        # a rerun from an arm's manifest must not write into the ablation root
+        arm = json.loads((out / "on" / "manifest.json").read_text())
+        assert arm["config"]["run"]["out"] == ""
+
+
+def test_rerun_from_manifest_writes_to_run_out_unless_out_given(tmp_path,
+                                                                monkeypatch):
+    monkeypatch.setenv("TINYCIL_OUT_ROOT", str(tmp_path / "default"))
+    out = tmp_path / "from_config"
+    cfg = tmp_path / "out.ini"
+    cfg.write_text(TINY_CONFIG.replace("[run]\n", f"[run]\nout = {out}\n"))
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+    manifest = tmp_path / "a" / "manifest.json"
+    assert json.loads(manifest.read_text())["config"]["run"]["out"] == str(out)
+    assert not out.exists()
+    assert main(["run", "--config", str(manifest)]) == 0
+    assert ((out / "summary.csv").read_bytes()
+            == (tmp_path / "a" / "summary.csv").read_bytes())
+    assert not (tmp_path / "default").exists()
+
+
 def test_run_divergence_preserves_partial_reports(config_path, tmp_path,
                                                   monkeypatch, capsys):
     import tinycil.engine as engine

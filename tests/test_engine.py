@@ -275,7 +275,7 @@ def test_finetune_backbone_bit_identical():
 
 @pytest.mark.parametrize("hflip,views", [(True, 2), (False, 1)])
 def test_finetune_embeds_each_exemplar_once_per_view(monkeypatch, hflip, views):
-    import tinycil.engine as engine
+    import tinycil.model as model
     ctx = _finetuned_ctx(tiny_settings(
         augment=AugmentConfig(hflip=hflip, label_smoothing=0.0)))
     embedded = []
@@ -284,7 +284,7 @@ def test_finetune_embeds_each_exemplar_once_per_view(monkeypatch, hflip, views):
         embedded.append(images.shape[0])
         return forward_features(state, images, mode=mode)
 
-    monkeypatch.setattr(engine, "forward_features", counting)
+    monkeypatch.setattr(model, "forward_features", counting)
     run_balanced_finetune(ctx)
     assert sum(embedded) == views * ctx.store.total_count()
 

@@ -142,6 +142,14 @@ def test_evaluate_random_model_near_chance():
     assert abs(top1 - p) <= 3 * sigma
 
 
+def test_evaluate_takes_only_uint8_images():
+    # float pixels would be scaled by 1/255 a second time without a word
+    state, spec = _random_model()
+    images = np.random.default_rng(4).uniform(0, 1, (4, 3, 8, 8))
+    with pytest.raises(TypeError, match="uint8"):
+        evaluate(state, images, np.zeros(4, dtype=np.int64), 6)
+
+
 def test_evaluate_restricts_argmax_to_seen_classes():
     state, spec = _random_model(num_classes=6, seed=8)
     rng = np.random.default_rng(9)

@@ -2,19 +2,24 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from tinycil.engine import TrainSettings, build_param_groups
 from tinycil.errors import ConfigError, TrainingDiverged
+from tinycil.model import ModelSpec, init_model
 from tinycil.optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
-                           scaled_base_lr, zero_grads)
+                           scaled_base_lr)
+from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
 
 def _single(p, lr=1e-2, wd=0.0):
     params = {"w": p}
-    groups = [ParamGroup("g", ["w"], base_lr=lr, weight_decay=wd)]
-    return params, AdamW(params, groups)
+    groups = [ParamGroup("g", params, base_lr=lr, weight_decay=wd)]
+    return params, AdamW(groups)
 
 
 # --- LR scaling / schedule ----------------------------------------------------
@@ -101,10 +106,9 @@ def test_zero_lr_bit_identical():
 def test_ten_x_group_ratio():
     a = Tensor(np.full(3, 0.5), requires_grad=True)
     b = Tensor(np.full(3, 0.5), requires_grad=True)
-    params = {"a": a, "b": b}
-    groups = [ParamGroup("lo", ["a"], base_lr=1e-3),
-              ParamGroup("hi", ["b"], base_lr=1e-2)]
-    opt = AdamW(params, groups)
+    groups = [ParamGroup("lo", {"a": a}, base_lr=1e-3),
+              ParamGroup("hi", {"b": b}, base_lr=1e-2)]
+    opt = AdamW(groups)
     a.grad = np.array([0.2, -0.4, 0.9])
     b.grad = a.grad.copy()
     opt.step({"lo": 1e-3, "hi": 1e-2})
@@ -123,19 +127,28 @@ def test_nan_grad_aborts_before_update():
     np.testing.assert_array_equal(p.data, before)
 
 
-def test_groups_must_partition():
-    p = Tensor(np.ones(2), requires_grad=True)
-    q = Tensor(np.ones(2), requires_grad=True)
-    with pytest.raises(ConfigError):
-        AdamW({"p": p, "q": q}, [ParamGroup("g", ["p"], base_lr=1e-3)])
-    with pytest.raises(ConfigError):
-        AdamW({"p": p}, [ParamGroup("g", ["p", "r"], base_lr=1e-3)])
+def test_param_groups_partition_the_state_parameters():
+    # each stage's groups come from build_param_groups: every parameter of the
+    # state must sit in exactly one group, as the state's own Tensor object
+    stage1 = TrainSettings()
+    finetune = replace(stage1,
+                       backbone_lr=stage1.backbone_lr * stage1.finetune_lr_scale)
+    for stem in ("patchify", "conv"):
+        spec = ModelSpec(image_size=8, stem_kind=stem, patch_size=4,
+                         stem_channels=(8, 16), embed_dim=16, num_blocks=2,
+                         num_classes=3)
+        state = init_model(spec, SplitMix64(1))
+        for settings in (stage1, finetune):
+            groups = build_param_groups(state, settings)
+            grouped = [(name, t) for g in groups for name, t in g.params.items()]
+            params = state.named_parameters()
+            assert sorted(name for name, _ in grouped) == sorted(params)
+            assert all(t is params[name] for name, t in grouped)
 
 
 def test_grad_clip_scales_global_norm():
     p = Tensor(np.zeros(4), requires_grad=True)
-    params = {"w": p}
-    opt = AdamW(params, [ParamGroup("g", ["w"], base_lr=1e-2)], grad_clip=1.0)
+    opt = AdamW([ParamGroup("g", {"w": p}, base_lr=1e-2)], grad_clip=1.0)
     p.grad = np.full(4, 10.0)
     opt.step({"g": 1e-2})
     # after clipping the effective grad had norm 1; direction preserved
@@ -144,6 +157,9 @@ def test_grad_clip_scales_global_norm():
 
 def test_zero_grads_helper():
     p = Tensor(np.ones(2), requires_grad=True)
+    q = Tensor(np.ones(3), requires_grad=True)
     p.grad = np.ones(2)
-    zero_grads({"p": p})
-    assert p.grad is None
+    q.grad = np.ones(3)
+    AdamW([ParamGroup("g", {"p": p}, base_lr=1e-3),
+           ParamGroup("h", {"q": q}, base_lr=1e-3)]).zero_grad()
+    assert p.grad is None and q.grad is None
