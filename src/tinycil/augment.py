@@ -9,7 +9,7 @@ baseline requires).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,10 +42,20 @@ class AugmentConfig:
 
 @dataclass
 class SoftBatch:
-    """Images plus per-sample target weight rows (each summing to 1)."""
+    """Images plus per-sample target weight rows (each summing to 1).
+
+    `flipped` marks the rows mirrored by `hflip`; `mixed` says whether Mixup
+    or CutMix blended rows, after which a row's pixels depend on its partner.
+    """
 
     images: np.ndarray              # [b, c, h, w] float64
     targets: np.ndarray             # [b, num_classes]
+    flipped: np.ndarray | None = None   # [b] bool; all False if not given
+    mixed: bool = False
+
+    def __post_init__(self):
+        if self.flipped is None:
+            self.flipped = np.zeros(len(self.images), dtype=bool)
 
 
 def one_hot(labels: np.ndarray, num_classes: int,
@@ -69,11 +79,12 @@ def mixup(batch: SoftBatch, lam: float, stream: SplitMix64) -> SoftBatch:
         raise ValueError(f"lam must be in [0,1], got {lam}")
     b = batch.images.shape[0]
     if b < 2:
-        return SoftBatch(batch.images.copy(), batch.targets.copy())
+        return replace(batch, images=batch.images.copy(),
+                       targets=batch.targets.copy())
     perm = stream.permutation(b)
     images = lam * batch.images + (1.0 - lam) * batch.images[perm]
     targets = lam * batch.targets + (1.0 - lam) * batch.targets[perm]
-    return SoftBatch(images, targets)
+    return replace(batch, images=images, targets=targets, mixed=True)
 
 
 def _paste_box(h: int, w: int, lam_area: float,
@@ -95,7 +106,8 @@ def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64,
         raise ValueError(f"lam_area must be in [0,1], got {lam_area}")
     b, _, h, w = batch.images.shape
     if b < 2:
-        return SoftBatch(batch.images.copy(), batch.targets.copy())
+        return replace(batch, images=batch.images.copy(),
+                       targets=batch.targets.copy())
     perm = stream.permutation(b)
     if box is None:
         box = _paste_box(h, w, lam_area, stream)
@@ -104,7 +116,7 @@ def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64,
     images = batch.images.copy()
     images[:, :, y0:y1, x0:x1] = batch.images[perm][:, :, y0:y1, x0:x1]
     targets = (1.0 - weight) * batch.targets + weight * batch.targets[perm]
-    return SoftBatch(images, targets)
+    return replace(batch, images=images, targets=targets, mixed=True)
 
 
 def augment_batch(images: np.ndarray, labels: np.ndarray, num_classes: int,
@@ -116,11 +128,12 @@ def augment_batch(images: np.ndarray, labels: np.ndarray, num_classes: int,
     partner permutation, then CutMix box coordinates.
     """
     b = images.shape[0]
+    flipped = None
     if cfg.hflip:
-        mask = stream.uniforms(b) < 0.5
-        images = hflip(images, mask)
+        flipped = stream.uniforms(b) < 0.5
+        images = hflip(images, flipped)
     targets = one_hot(labels, num_classes, smoothing=cfg.label_smoothing)
-    batch = SoftBatch(images, targets)
+    batch = SoftBatch(images, targets, flipped)
     if not cfg.uses_mixing or b < 2:
         return batch
     if stream.uniform() >= cfg.mix_prob:

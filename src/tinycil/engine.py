@@ -278,7 +278,15 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
 
 
 def run_stage1(ctx: StepContext) -> StageTrace:
-    """Train all parameters on replay + new data; returns per-epoch traces."""
+    """Train all parameters on replay + new data; returns per-epoch traces.
+
+    With distillation on, the old model's eval-mode features are per-sample
+    and, in a batch Mixup and CutMix left alone, depend only on the image and
+    whether it was mirrored. So every training image (and its mirror when
+    flips are on) is embedded once by the old model, and an unmixed batch
+    gathers its rows from that cache. A mixed batch's pixels blend two
+    images, so it keeps a forward of its own.
+    """
     settings = ctx.settings
     images_u8, labels = _training_arrays(ctx)
     num_classes = ctx.state.spec.num_classes
@@ -288,26 +296,38 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     sched = _schedule(groups, settings, ctx.epochs_stage1, settings.warmup_epochs)
     augment_stream = ctx.stream.child("augment")
     order_stream = ctx.stream.child("order")
-    distill_values = []
+    distill = ctx.old_state is not None and lam > 0.0
+    if distill:
+        old_feats = embed(ctx.old_state, images_u8)
+        old_mirrored = (embed(ctx.old_state, images_u8, flip=True)
+                        if settings.augment.hflip else None)
+    first_distill = []
+
+    def old_features(idx, batch):
+        # a constant: the old model's parameters are untracked, eval mode
+        if batch.mixed:
+            return forward_features(ctx.old_state, Tensor(batch.images),
+                                    mode="eval").data
+        feats = old_feats[idx]
+        if old_mirrored is not None:
+            feats[batch.flipped] = old_mirrored[idx[batch.flipped]]
+        return feats
 
     def batch_loss(idx):
         raw = images_u8[idx].astype(np.float64) / 255.0
         batch = augment_batch(raw, labels[idx], num_classes, settings.augment,
                               augment_stream)
-        f_old = None
-        if ctx.old_state is not None and lam > 0.0:
-            # constant: the old model's parameters are untracked, eval mode
-            f_old = Tensor(forward_features(ctx.old_state, Tensor(batch.images),
-                                            mode="eval").data)
+        f_old = Tensor(old_features(idx, batch)) if distill else None
         loss, dis_value = total_loss(ctx, Tensor(batch.images), batch.targets,
                                      hard_labels=labels[idx], f_old=f_old,
                                      lam=lam)
-        distill_values.append(dis_value)
+        if not first_distill:
+            first_distill.append(dis_value)
         return loss
 
     trace = _train_epochs(ctx, groups, sched, len(labels), order_stream,
                           batch_loss, stage="stage-1")
-    trace.first_distill = distill_values[0]
+    trace.first_distill = first_distill[0]
     return trace
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -146,3 +148,83 @@ def test_smoothing_mixes_toward_uniform():
     assert t[0, 3] == pytest.approx(0.9 + 0.01)
     assert t[0, 0] == pytest.approx(0.01)
     assert t.sum() == pytest.approx(1.0)
+
+
+# --- what the pipeline reports ---------------------------------------------------
+
+def _mix_draw(seed, b, cfg):
+    """The apply-mixing uniform augment_batch draws from SplitMix64(seed)."""
+    stream = SplitMix64(seed)
+    if cfg.hflip:
+        stream.uniforms(b)
+    return stream.uniform()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_flipped_marks_exactly_the_mirrored_rows(seed):
+    cfg = AugmentConfig(mixup=False, cutmix=False)
+    images, labels = _batch(seed=seed)
+    out = augment_batch(images, labels, 10, cfg, SplitMix64(seed))
+    np.testing.assert_array_equal(out.flipped, SplitMix64(seed).uniforms(6) < 0.5)
+    np.testing.assert_array_equal(out.images[out.flipped],
+                                  images[out.flipped][:, :, :, ::-1])
+    np.testing.assert_array_equal(out.images[~out.flipped], images[~out.flipped])
+    assert not out.mixed
+
+
+def test_flipped_is_all_false_without_hflip():
+    cfg = AugmentConfig(hflip=False, mix_prob=1.0)
+    images, labels = _batch(seed=16)
+    out = augment_batch(images, labels, 10, cfg, SplitMix64(17))
+    assert out.flipped.dtype == bool and out.flipped.shape == (6,)
+    assert not out.flipped.any()
+
+
+@pytest.mark.parametrize("cfg,b", [
+    (AugmentConfig(mixup=False, cutmix=False, mix_prob=1.0), 6),
+    (AugmentConfig(mix_prob=1.0), 1),
+    (AugmentConfig(mix_prob=0.0), 6),
+])
+def test_unmixed_batches_say_so(cfg, b):
+    images, labels = _batch(b=b, seed=18)
+    out = augment_batch(images, labels, 10, cfg, SplitMix64(19))
+    assert not out.mixed
+
+
+@pytest.mark.parametrize("mixup,cutmix", [(True, False), (False, True), (True, True)])
+@pytest.mark.parametrize("hflip", [True, False])
+def test_mixed_follows_the_mix_draw(mixup, cutmix, hflip):
+    images, labels = _batch(seed=20)
+    for seed in range(21, 29):
+        u = _mix_draw(seed, 6, AugmentConfig(hflip=hflip))
+        for mix_prob, mixed in ((u, False), (np.nextafter(u, 1.0), True)):
+            cfg = AugmentConfig(hflip=hflip, mixup=mixup, cutmix=cutmix,
+                                mix_prob=float(mix_prob))
+            out = augment_batch(images, labels, 10, cfg, SplitMix64(seed))
+            assert out.mixed is mixed, (seed, mix_prob)
+
+
+def test_mixing_keeps_the_flip_mask():
+    images, labels = _batch(seed=29)
+    out = augment_batch(images, labels, 10, AugmentConfig(mix_prob=1.0),
+                        SplitMix64(30))
+    assert out.mixed
+    np.testing.assert_array_equal(out.flipped, SplitMix64(30).uniforms(6) < 0.5)
+
+
+# Digests of augment_batch's images, targets and the stream's next draw,
+# recorded before SoftBatch reported `flipped` and `mixed`. Seed 0 leaves the
+# batch unmixed, seed 2 draws Mixup and seed 6 CutMix.
+GOLDEN_DIGESTS = {0: "39e43f89dd21f274", 2: "96bc2247a94a9c00",
+                  6: "3e07c5e51ae0e70d"}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_DIGESTS))
+def test_seeded_batches_and_draws_are_unchanged(seed):
+    b, h = 6, 8
+    images = SplitMix64(seed).uniforms(b * 3 * h * h).reshape(b, 3, h, h)
+    stream = SplitMix64(100 + seed)
+    out = augment_batch(images, np.arange(b) % 10, 10, AugmentConfig(), stream)
+    digest = hashlib.sha256(out.images.tobytes() + out.targets.tobytes()
+                            + str(stream.next_u64()).encode()).hexdigest()
+    assert digest[:16] == GOLDEN_DIGESTS[seed]

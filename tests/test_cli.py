@@ -7,7 +7,6 @@ import io
 import json
 import shutil
 import xml.dom.minidom
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from helpers import gc_disabled
 
 from tinycil import tensor as T
-from tinycil.augment import AugmentConfig
+from tinycil.augment import AugmentConfig, augment_batch
 from tinycil.data import ProtocolConfig, generate_synthetic
 from tinycil.engine import (StepContext, TrainSettings, adaptive_lambda,
                             construct_exemplars, cross_entropy, distill_loss,
@@ -19,9 +20,8 @@ from tinycil.engine import (StepContext, TrainSettings, adaptive_lambda,
                             run_protocol, run_stage1, total_loss)
 from tinycil.errors import ConfigError
 from tinycil.memory import ExemplarStore, PerClass, Total, per_class_budget
-from tinycil.model import (ModelSpec, clone_state, cosine_scores,
-                           expand_classifier, forward_features, init_model,
-                           state_hash)
+from tinycil.model import (ModelSpec, clone_state, expand_classifier,
+                           forward_features, init_model, state_hash)
 from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
@@ -249,6 +249,80 @@ def test_stage1_with_margin_ranking_trains():
                        stream=SplitMix64(15))
     trace = run_stage1(ctx2)
     assert all(math.isfinite(v) for v in trace.loss_trace)
+
+
+CONV_SPEC = replace(TINY_SPEC, stem_kind="conv", stem_depth=2,
+                    stem_channels=(8, 16))
+
+
+def _distill_ctx(settings, spec=TINY_SPEC):
+    """A step-2 context: 4 exemplars each of classes 0-1, new classes 2-3."""
+    ctx, ds = make_ctx(epochs=1, settings=settings, seed=16, spec=spec)
+    ctx.store.add_and_trim(construct_exemplars(ctx.state, ds, [0, 1], 4), 2)
+    images, labels = generate_synthetic(
+        4, 8, 4, image_size=spec.image_size, seed=17).subset("train", [2, 3])
+    return StepContext(step=2, old_class_ids=[0, 1], new_class_ids=[2, 3],
+                       old_state=clone_state(ctx.state, requires_grad=False),
+                       state=expand_classifier(ctx.state, 2, SplitMix64(18)),
+                       store=ctx.store, new_images=images, new_labels=labels,
+                       label_map=np.arange(4, dtype=np.int64),
+                       settings=settings, epochs_stage1=3, stream=SplitMix64(19))
+
+
+@pytest.mark.parametrize("hflip", [True, False])
+@pytest.mark.parametrize("spec", [TINY_SPEC, CONV_SPEC], ids=["patchify", "conv"])
+def test_stage1_cached_old_features_match_a_batch_forward(monkeypatch, spec,
+                                                          hflip):
+    import tinycil.engine as engine
+    ctx = _distill_ctx(tiny_settings(augment=AugmentConfig(
+        hflip=hflip, mixup=False, cutmix=False, label_smoothing=0.0)), spec)
+    seen, flipped = [], []
+
+    def spying_loss(ctx, images, targets, f_old=None, **kw):
+        seen.append((images.data.copy(), f_old.data.copy()))
+        return total_loss(ctx, images, targets, f_old=f_old, **kw)
+
+    def spying_augment(*args):
+        batch = augment_batch(*args)
+        flipped.append(batch.flipped.any())
+        return batch
+
+    monkeypatch.setattr(engine, "total_loss", spying_loss)
+    monkeypatch.setattr(engine, "augment_batch", spying_augment)
+    run_stage1(ctx)
+    assert len(seen) == 6 and any(flipped) == hflip
+    for images, f_old in seen:
+        expected = forward_features(ctx.old_state, Tensor(images), mode="eval")
+        np.testing.assert_allclose(f_old, expected.data, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("hflip,views", [(True, 2), (False, 1)])
+def test_stage1_forwards_each_image_through_the_old_model_once_per_view(
+        monkeypatch, hflip, views):
+    import tinycil.engine as engine
+    import tinycil.model as model
+    ctx = _distill_ctx(tiny_settings(augment=AugmentConfig(
+        hflip=hflip, label_smoothing=0.0, mix_prob=0.5)))
+    old_rows, mixed_rows = [], []
+
+    def counting(state, images, mode="eval"):
+        if state is ctx.old_state:
+            old_rows.append(images.shape[0])
+        return forward_features(state, images, mode=mode)
+
+    def spying_augment(*args):
+        batch = augment_batch(*args)
+        if batch.mixed:
+            mixed_rows.append(len(batch.images))
+        return batch
+
+    monkeypatch.setattr(model, "forward_features", counting)
+    monkeypatch.setattr(engine, "forward_features", counting)
+    monkeypatch.setattr(engine, "augment_batch", spying_augment)
+    run_stage1(ctx)
+    n = ctx.store.total_count() + len(ctx.new_labels)
+    assert mixed_rows and sum(mixed_rows) < 3 * n
+    assert sum(old_rows) == views * n + sum(mixed_rows)
 
 
 # --- balanced finetune ---------------------------------------------------------------
