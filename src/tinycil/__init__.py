@@ -25,7 +25,7 @@ from .metrics import (StepReport, average_incremental_accuracy,
 from .model import (ModelSpec, ModelState, clone_state, cosine_logits,
                     cosine_scores, expand_classifier, forward_features,
                     init_model, load_checkpoint, save_checkpoint, state_hash)
-from .optim import AdamW, ParamGroup, ScheduleConfig, lr_at_epoch, scaled_base_lr
+from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
 from .tensor import Tape, Tensor, backward
 

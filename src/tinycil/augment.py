@@ -99,8 +99,7 @@ def _paste_box(h: int, w: int, lam_area: float,
     return y0, x0, y0 + bh, x0 + bw
 
 
-def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64,
-           box: tuple[int, int, int, int] | None = None) -> SoftBatch:
+def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64) -> SoftBatch:
     """Paste a partner rectangle; target weight is the pasted pixel fraction."""
     if not 0.0 <= lam_area <= 1.0:
         raise ValueError(f"lam_area must be in [0,1], got {lam_area}")
@@ -109,9 +108,7 @@ def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64,
         return replace(batch, images=batch.images.copy(),
                        targets=batch.targets.copy())
     perm = stream.permutation(b)
-    if box is None:
-        box = _paste_box(h, w, lam_area, stream)
-    y0, x0, y1, x1 = box
+    y0, x0, y1, x1 = _paste_box(h, w, lam_area, stream)
     weight = ((y1 - y0) * (x1 - x0)) / (h * w)
     images = batch.images.copy()
     images[:, :, y0:y1, x0:x1] = batch.images[perm][:, :, y0:y1, x0:x1]

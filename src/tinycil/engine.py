@@ -25,13 +25,11 @@ from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
                     cosine_logits, cosine_scores, embed, expand_classifier,
                     forward_features, init_model)
-from .optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
-                    scaled_base_lr)
+from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
-from .tensor import Tensor
+from .tensor import NORM_EPS, Tensor
 
 LOG_EPS = 1e-12
-NORM_EPS = 1e-12
 
 
 @dataclass
@@ -68,8 +66,8 @@ class TrainSettings:
                      "eta_init", "margin"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        for name in ("backbone_lr", "classifier_lr_multiplier",
-                     "finetune_lr_scale", "weight_decay", "min_lr", "grad_clip"):
+        for name in ("backbone_lr", "classifier_lr_multiplier", "finetune_lr_scale",
+                     "weight_decay", "min_lr", "grad_clip", "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("lambda_base", "eta_init"):
@@ -135,8 +133,8 @@ def distill_loss(f_old: Tensor, f_new: Tensor) -> Tensor:
         if zero:
             warnings.warn(f"distill_loss: {zero} zero-norm {name} feature row(s)",
                           RuntimeWarning)
-    cos = T.sum_(T.mul(T.l2_normalize(f_old, axis=-1, eps=NORM_EPS),
-                       T.l2_normalize(f_new, axis=-1, eps=NORM_EPS)), axis=1)
+    cos = T.sum_(T.mul(T.l2_normalize(f_old, axis=-1),
+                       T.l2_normalize(f_new, axis=-1)), axis=1)
     return T.mean(1.0 - cos)
 
 
@@ -217,14 +215,17 @@ def build_param_groups(state: ModelState,
     ]
 
 
-def _schedule(groups: list[ParamGroup], settings: TrainSettings,
-              total_epochs: int, warmup: int) -> ScheduleConfig:
-    peaks = {g.name: g.base_lr for g in groups}
-    scaled = [scaled_base_lr(lr, settings.batch_size) for lr in peaks.values()]
-    return ScheduleConfig(peak_lr=peaks, total_epochs=total_epochs,
-                          warmup_epochs=min(warmup, max(total_epochs - 1, 0)),
-                          min_lr=min([settings.min_lr] + scaled),
-                          batch_size=settings.batch_size)
+def _lr_schedule(groups: list[ParamGroup], settings: TrainSettings,
+                 epochs: int, warmup: int) -> list[dict[str, float]]:
+    """One `{group name: LR}` per epoch. Each group peaks at its batch-scaled
+    base LR; all share one floor, `min_lr` lowered to the smallest peak.
+    Warmup is clamped to `epochs - 1` epochs, so every group reaches its peak."""
+    peaks = {g.name: scaled_base_lr(g.base_lr, settings.batch_size)
+             for g in groups}
+    floor = min(settings.min_lr, *peaks.values())
+    warmup = min(warmup, epochs - 1)
+    return [{name: lr_at_epoch(peak, floor, epoch, epochs, warmup)
+             for name, peak in peaks.items()} for epoch in range(epochs)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,14 +249,14 @@ def _epoch_batches(n: int, batch_size: int, order_stream: SplitMix64):
 
 
 def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
-                  sched: ScheduleConfig, n: int, order_stream: SplitMix64,
+                  schedule: list[dict], n: int, order_stream: SplitMix64,
                   batch_loss, stage: str) -> StageTrace:
     """Train the `groups` parameters on `batch_loss(idx)`, the scalar loss of
-    rows `idx` of the stage's n rows, which runs on an active tape."""
+    rows `idx` of the stage's n rows, which runs on an active tape; one epoch
+    per entry of `schedule`, each mapping a group name to its LR."""
     opt = AdamW(groups, grad_clip=ctx.settings.grad_clip)
     trace = StageTrace(loss_trace=[], eta_trace=[])
-    for epoch in range(sched.total_epochs):
-        lrs = {g.name: lr_at_epoch(sched, g.name, epoch) for g in groups}
+    for epoch, lrs in enumerate(schedule):
         epoch_losses = []
         for batch_no, idx in enumerate(_epoch_batches(n, ctx.settings.batch_size,
                                                       order_stream)):
@@ -293,7 +294,8 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     lam = adaptive_lambda(settings.lambda_base, len(ctx.old_class_ids),
                           len(ctx.new_class_ids))
     groups = build_param_groups(ctx.state, settings)
-    sched = _schedule(groups, settings, ctx.epochs_stage1, settings.warmup_epochs)
+    schedule = _lr_schedule(groups, settings, ctx.epochs_stage1,
+                            settings.warmup_epochs)
     augment_stream = ctx.stream.child("augment")
     order_stream = ctx.stream.child("order")
     distill = ctx.old_state is not None and lam > 0.0
@@ -325,7 +327,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
             first_distill.append(dis_value)
         return loss
 
-    trace = _train_epochs(ctx, groups, sched, len(labels), order_stream,
+    trace = _train_epochs(ctx, groups, schedule, len(labels), order_stream,
                           batch_loss, stage="stage-1")
     trace.first_distill = first_distill[0]
     return trace
@@ -352,9 +354,9 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
 
     groups = build_param_groups(ctx.state, replace(
         settings, backbone_lr=settings.backbone_lr * settings.finetune_lr_scale))
-    # every group sets min_lr (the scaled backbone peak may be the lowest);
-    # only the head trains
-    sched = _schedule(groups, settings, settings.epochs_finetune, 0)
+    # every group sets the floor (the scaled backbone peak may be the
+    # lowest); only the head trains
+    schedule = _lr_schedule(groups, settings, settings.epochs_finetune, 0)
     head = [g for g in groups if g.name.startswith("classifier")]
     flip_stream = ctx.stream.child("finetune_flip")
     order_stream = ctx.stream.child("finetune_order")
@@ -368,7 +370,7 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
                           smoothing=settings.augment.label_smoothing)
         return cross_entropy(cosine_logits(ctx.state, Tensor(batch)), targets)
 
-    return _train_epochs(ctx, head, sched, len(labels), order_stream,
+    return _train_epochs(ctx, head, schedule, len(labels), order_stream,
                          batch_loss, stage="finetune")
 
 

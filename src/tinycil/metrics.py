@@ -17,6 +17,7 @@ import numpy as np
 from .binio import atomic_open
 from .errors import ConfigError
 from .model import ModelState, cosine_logits, embed
+from .tensor import Tensor
 
 SUMMARY_COLUMNS = ["step", "n_classes", "top1", "bias_rate", "eta",
                    "avg_inc_acc_so_far"]
@@ -93,7 +94,7 @@ def evaluate(state: ModelState, images: np.ndarray, labels: np.ndarray,
     if state.spec.num_classes < n_classes:
         raise ConfigError(
             f"model has {state.spec.num_classes} classes, asked for {n_classes}")
-    probs = cosine_logits(state, embed(state, images)).data
+    probs = cosine_logits(state, Tensor(embed(state, images))).data
     cm = confusion_matrix(labels, probs[:, :n_classes].argmax(axis=1), n_classes)
     top1 = float(np.trace(cm) / cm.sum()) if cm.sum() else 0.0
     return top1, cm

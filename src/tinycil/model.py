@@ -25,11 +25,8 @@ from .augment import hflip
 from .binio import Reader, atomic_open
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
-from .tensor import Tensor
+from .tensor import NORM_EPS, Tensor
 
-LN_EPS = 1e-5
-BN_MOMENTUM = 0.1
-NORM_EPS = 1e-12
 TEMPERATURE_FLOOR = 1e-3
 INIT_STD = 0.02
 EMBED_CHUNK = 512          # images per untaped eval-mode forward
@@ -65,9 +62,10 @@ class ModelSpec:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.num_blocks < 0:
             raise ConfigError(f"num_blocks must be >= 0, got {self.num_blocks}")
-        # the product sizes the MLP hidden layer
-        if not 0 < self.mlp_ratio * self.embed_dim < math.inf:
-            raise ConfigError(f"mlp_ratio must be positive, got {self.mlp_ratio}")
+        if not math.isfinite(self.mlp_ratio * self.embed_dim) or self.mlp_hidden < 1:
+            raise ConfigError(
+                f"mlp_ratio * embed_dim must round to a finite MLP width >= 1, "
+                f"got {self.mlp_ratio} * {self.embed_dim}")
         if self.stem_kind not in ("patchify", "conv"):
             raise ConfigError(f"unknown stem_kind {self.stem_kind!r}")
         if self.embed_dim % self.num_heads != 0:
@@ -92,6 +90,10 @@ class ModelSpec:
                     f"image_size {self.image_size} too small for {self.stem_depth} stride-2 layers")
             if self.image_size // (2 ** self.stem_depth) < 1:
                 raise ConfigError("conv stem collapses the image to zero tokens")
+
+    @property
+    def mlp_hidden(self) -> int:
+        return int(round(self.mlp_ratio * self.embed_dim))
 
     @property
     def grid_size(self) -> int:
@@ -154,7 +156,7 @@ def layout(spec: ModelSpec):
             c_in = c_out
     yield backbone, "cls_token", (1, 1, d), "normal"
     yield backbone, "pos_embed", (1, spec.token_count + 1, d), "normal"
-    hidden = int(round(spec.mlp_ratio * d))
+    hidden = spec.mlp_hidden
     block = (("ln1_gain", (d,), "ones"), ("ln1_bias", (d,), "zeros"),
              ("qkv_weight", (d, 3 * d), "normal"), ("qkv_bias", (3 * d,), "zeros"),
              ("proj_weight", (d, d), "normal"), ("proj_bias", (d,), "zeros"),
@@ -219,7 +221,7 @@ def conv_stem_forward(state: ModelState, images: Tensor, training: bool) -> Tens
                            state.backbone[f"stem.conv{i}_bias"],
                            state.buffers[f"stem.conv{i}_running_mean"],
                            state.buffers[f"stem.conv{i}_running_var"],
-                           training=training, momentum=BN_MOMENTUM)
+                           training=training)
         cur = T.relu(cur)
     b, d, gh, gw = cur.shape
     cur = T.reshape(cur, (b, d, gh * gw))
@@ -277,15 +279,15 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
     seq = T.concat([cls, tokens], axis=1) + state.backbone["pos_embed"]
     for i in range(spec.num_blocks):
         h = T.layer_norm(seq, state.backbone[f"block{i}.ln1_gain"],
-                         state.backbone[f"block{i}.ln1_bias"], eps=LN_EPS)
+                         state.backbone[f"block{i}.ln1_bias"])
         if i == spec.num_blocks - 1:
             seq = seq[:, :1]                          # the CLS row
         seq = seq + _attention(state, i, h, queries=seq.shape[1])
         h = T.layer_norm(seq, state.backbone[f"block{i}.ln2_gain"],
-                         state.backbone[f"block{i}.ln2_bias"], eps=LN_EPS)
+                         state.backbone[f"block{i}.ln2_bias"])
         seq = seq + _mlp(state, i, h)
     return T.layer_norm(seq[:, 0, :], state.backbone["final_norm_gain"],
-                        state.backbone["final_norm_bias"], eps=LN_EPS)
+                        state.backbone["final_norm_bias"])
 
 
 def embed(state: ModelState, images_u8: np.ndarray,
@@ -305,19 +307,17 @@ def embed(state: ModelState, images_u8: np.ndarray,
 
 def cosine_scores(state: ModelState, features: Tensor) -> Tensor:
     """Cosine similarity of normalized features against normalized class rows."""
-    fbar = T.l2_normalize(features, axis=-1, eps=NORM_EPS)
-    wbar = T.l2_normalize(state.classifier["weight"], axis=-1, eps=NORM_EPS)
+    fbar = T.l2_normalize(features, axis=-1)
+    wbar = T.l2_normalize(state.classifier["weight"], axis=-1)
     return T.matmul(fbar, T.transpose(wbar, (1, 0)))
 
 
 def cosine_logits(state: ModelState, features: Tensor) -> Tensor:
     """Class probabilities: softmax over temperature-scaled cosine scores."""
-    fdata = features.data if isinstance(features, Tensor) else np.asarray(features)
-    zero_rows = int((np.linalg.norm(fdata, axis=-1) < NORM_EPS).sum())
+    zero_rows = int((np.linalg.norm(features.data, axis=-1) < NORM_EPS).sum())
     if zero_rows:
         warnings.warn(f"cosine_logits: {zero_rows} zero-norm feature row(s), "
                       "eps-guarded", RuntimeWarning)
-    features = features if isinstance(features, Tensor) else Tensor(features)
     scaled = cosine_scores(state, features) * state.classifier["temperature"]
     return T.softmax(scaled, axis=-1)
 

@@ -10,7 +10,7 @@ only the groups of that part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .errors import ConfigError, TrainingDiverged
 from .tensor import Tensor
 
 REFERENCE_BATCH = 512
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -28,31 +31,6 @@ class ParamGroup:
     weight_decay: float = 0.0
 
 
-@dataclass
-class ScheduleConfig:
-    """Per-group peak LRs plus the warmup-cosine shape."""
-
-    peak_lr: dict[str, float]
-    total_epochs: int
-    warmup_epochs: int = 0
-    min_lr: float = 1e-5
-    batch_size: int = REFERENCE_BATCH
-
-    def __post_init__(self):
-        if self.total_epochs < 1:
-            raise ConfigError("total_epochs must be >= 1")
-        if not 0 <= self.warmup_epochs < self.total_epochs:
-            raise ConfigError(
-                f"warmup_epochs {self.warmup_epochs} must be < total_epochs "
-                f"{self.total_epochs}")
-        for name, lr in self.peak_lr.items():
-            scaled = scaled_base_lr(lr, self.batch_size)
-            if self.min_lr > scaled:
-                raise ConfigError(
-                    f"min_lr {self.min_lr} exceeds scaled peak {scaled} for "
-                    f"group {name!r}")
-
-
 def scaled_base_lr(base_lr: float, batch_size: int) -> float:
     """Linear LR scaling: base_lr * batch_size / REFERENCE_BATCH."""
     if batch_size < 1:
@@ -60,20 +38,19 @@ def scaled_base_lr(base_lr: float, batch_size: int) -> float:
     return base_lr * batch_size / REFERENCE_BATCH
 
 
-def lr_at_epoch(cfg: ScheduleConfig, group: str, epoch: int) -> float:
-    """Linear warmup min->peak, then cosine decay peak->min at total-1."""
-    if not 0 <= epoch < cfg.total_epochs:
-        raise ConfigError(
-            f"epoch {epoch} outside [0, {cfg.total_epochs}) for group {group!r}")
-    peak = scaled_base_lr(cfg.peak_lr[group], cfg.batch_size)
-    lo = min(cfg.min_lr, peak)
-    if epoch < cfg.warmup_epochs:
-        return lo + (peak - lo) * epoch / cfg.warmup_epochs
-    span = cfg.total_epochs - 1 - cfg.warmup_epochs
+def lr_at_epoch(peak: float, floor: float, epoch: int, total_epochs: int,
+                warmup_epochs: int) -> float:
+    """Linear warmup floor->peak, then one SGDR cosine peak->floor that reaches
+    the floor at total_epochs-1. Callers keep warmup_epochs < total_epochs."""
+    if not 0 <= epoch < total_epochs:
+        raise ConfigError(f"epoch {epoch} outside [0, {total_epochs})")
+    if epoch < warmup_epochs:
+        return floor + (peak - floor) * epoch / warmup_epochs
+    span = total_epochs - 1 - warmup_epochs
     if span <= 0:
         return peak
-    frac = (epoch - cfg.warmup_epochs) / span
-    return lo + 0.5 * (peak - lo) * (1.0 + math.cos(math.pi * frac))
+    frac = (epoch - warmup_epochs) / span
+    return floor + 0.5 * (peak - floor) * (1.0 + math.cos(math.pi * frac))
 
 
 def global_grad_norm(params: dict[str, Tensor]) -> float:
@@ -84,18 +61,17 @@ def global_grad_norm(params: dict[str, Tensor]) -> float:
     return math.sqrt(total)
 
 
-@dataclass
 class AdamW:
-    """Decoupled weight decay Adam over the tensors its groups hold."""
+    """Decoupled weight decay Adam over the tensors its groups hold, with β1,
+    β2 and ε fixed at BETA1, BETA2 and ADAM_EPS. A `grad_clip` above 0 caps
+    the global gradient norm before each update."""
 
-    groups: list[ParamGroup]
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    grad_clip: float = 0.0          # 0 disables the global-norm clip
-    _m: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _v: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
-    _t: int = 0
+    def __init__(self, groups: list[ParamGroup], grad_clip: float = 0.0):
+        self.groups = groups
+        self.grad_clip = grad_clip
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        self._t = 0
 
     def _params(self) -> dict[str, Tensor]:
         return {name: p for g in self.groups for name, p in g.params.items()}
@@ -118,8 +94,8 @@ class AdamW:
                     if t.grad is not None:
                         t.grad = t.grad * scale
         self._t += 1
-        bc1 = 1.0 - self.beta1 ** self._t
-        bc2 = 1.0 - self.beta2 ** self._t
+        bc1 = 1.0 - BETA1 ** self._t
+        bc2 = 1.0 - BETA2 ** self._t
         for group in self.groups:
             lr = lrs[group.name]
             for name, p in group.params.items():
@@ -133,8 +109,8 @@ class AdamW:
                     self._v[name] = np.zeros_like(p.data)
                 m = self._m[name]
                 v = self._v[name]
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * (g * g)
-                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

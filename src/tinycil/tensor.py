@@ -37,6 +37,9 @@ _TAPE_STACK: list["Tape"] = []
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+VAR_EPS = 1e-5          # added to the variance by layer_norm and batch_norm
+BN_MOMENTUM = 0.1       # batch_norm's running-statistics update rate
+NORM_EPS = 1e-12        # l2_normalize's floor on a row's norm
 
 # mallopt(M_TOP_PAD): bytes glibc keeps above the heap top when it trims, and
 # asks for in addition when it grows the heap. 256 MiB holds the freed tape
@@ -461,12 +464,12 @@ def softmax(a, axis: int = -1) -> Tensor:
     return _record(out, (a,), _bw)
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     xhat = x.data - x.data.mean(axis=-1, keepdims=True)
     var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + VAR_EPS)
     xhat *= inv
     out = Tensor(gain.data * xhat + bias.data)
 
@@ -483,12 +486,12 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
 
 
 def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
-               training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
+               training: bool) -> Tensor:
     """Per-channel batch norm over a [b, c, h, w] tensor.
 
     Training mode normalizes with batch statistics and updates the running
-    buffers in place (biased variance, momentum 0.1). Eval mode is a fixed
-    affine map through the running statistics.
+    buffers in place (biased variance, momentum BN_MOMENTUM). Eval mode is a
+    fixed affine map through the running statistics.
     """
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     if x.data.ndim != 4:
@@ -500,14 +503,14 @@ def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
         mu = x.data.mean(axis=axes)
         xhat = x.data - mu.reshape(gshape)
         var = (xhat * xhat).mean(axis=axes)
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
+        running_mean *= (1.0 - BN_MOMENTUM)
+        running_mean += BN_MOMENTUM * mu
+        running_var *= (1.0 - BN_MOMENTUM)
+        running_var += BN_MOMENTUM * var
     else:
         xhat = x.data - running_mean.reshape(gshape)
         var = running_var
-    inv = (1.0 / np.sqrt(var + eps)).reshape(gshape)
+    inv = (1.0 / np.sqrt(var + VAR_EPS)).reshape(gshape)
     xhat *= inv
     out = Tensor(gain.data.reshape(gshape) * xhat + bias.data.reshape(gshape))
 
@@ -525,11 +528,11 @@ def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
     return _record(out, (x, gain, bias), _bw)
 
 
-def l2_normalize(a, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    """Scale rows to unit L2 norm; zero rows are guarded by eps."""
+def l2_normalize(a, axis: int = -1) -> Tensor:
+    """Scale rows to unit L2 norm; a norm below NORM_EPS divides by NORM_EPS."""
     a = _coerce(a)
     norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
-    scale = np.maximum(norm, eps)
+    scale = np.maximum(norm, NORM_EPS)
     y = a.data / scale
     out = Tensor(y)
 

@@ -7,6 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from tinycil import augment
 from tinycil.augment import (AugmentConfig, SoftBatch, augment_batch, cutmix,
                              hflip, mixup, one_hot)
 from tinycil.rng import SplitMix64
@@ -77,10 +78,11 @@ def test_cutmix_full_box_is_partner():
     np.testing.assert_array_equal(out.targets, batch.targets[perm])
 
 
-def test_cutmix_quarter_box_weight_exact():
+def test_cutmix_quarter_box_weight_exact(monkeypatch):
+    monkeypatch.setattr(augment, "_paste_box", lambda *args: (2, 3, 10, 11))
     images, labels = _batch(b=4, seed=10, h=16)
     batch = SoftBatch(images, one_hot(labels, 10))
-    out = cutmix(batch, 0.25, SplitMix64(11), box=(2, 3, 10, 11))
+    out = cutmix(batch, 0.25, SplitMix64(11))
     perm = SplitMix64(11).permutation(4)
     expected = 0.75 * batch.targets + 0.25 * batch.targets[perm]
     np.testing.assert_allclose(out.targets, expected)

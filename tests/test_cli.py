@@ -209,6 +209,8 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("train", "weight_decay", "-1", "weight_decay"),
     ("train", "min_lr", "-1", "min_lr"),
     ("train", "grad_clip", "-1", "grad_clip"),
+    ("train", "warmup_epochs", "-1", "warmup_epochs"),
+    ("model", "mlp_ratio", "0.01", "mlp_ratio"),
     ("augment", "margin_top_k", "0", "augment.margin_top_k"),
     ("augment", "margin_top_k", "-3", "augment.margin_top_k"),
     ("data", "difficulty", "nan", "data.difficulty"),
@@ -243,6 +245,23 @@ def test_classes_above_u16_exit_2_before_training(tmp_path, capsys):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert "data.classes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("section,key,value", [
+    # used to create the run directory, then fail in stage 1: a negative
+    # warmup with a message about total_epochs, a zero-width MLP with a raw
+    # traceback from the first backward
+    ("train", "warmup_epochs", "-1"),
+    ("model", "mlp_ratio", "0.01"),
+])
+def test_value_that_failed_in_training_exit_2_before_it(tmp_path, capsys,
+                                                        section, key, value):
+    path = tmp_path / "bad.ini"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_finetune_epochs_unchecked_when_finetune_off():

@@ -14,14 +14,16 @@ from helpers import gc_disabled
 from tinycil import tensor as T
 from tinycil.augment import AugmentConfig, augment_batch
 from tinycil.data import ProtocolConfig, generate_synthetic
-from tinycil.engine import (StepContext, TrainSettings, adaptive_lambda,
-                            construct_exemplars, cross_entropy, distill_loss,
-                            margin_ranking_loss, run_balanced_finetune,
-                            run_protocol, run_stage1, total_loss)
+from tinycil.engine import (StepContext, TrainSettings, _lr_schedule,
+                            adaptive_lambda, construct_exemplars, cross_entropy,
+                            distill_loss, margin_ranking_loss,
+                            run_balanced_finetune, run_protocol, run_stage1,
+                            total_loss)
 from tinycil.errors import ConfigError
 from tinycil.memory import ExemplarStore, PerClass, Total, per_class_budget
 from tinycil.model import (ModelSpec, clone_state, expand_classifier,
                            forward_features, init_model, state_hash)
+from tinycil.optim import AdamW, ParamGroup, scaled_base_lr
 from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
@@ -325,6 +327,56 @@ def test_stage1_forwards_each_image_through_the_old_model_once_per_view(
     assert sum(old_rows) == views * n + sum(mixed_rows)
 
 
+# --- LR schedule --------------------------------------------------------------------
+
+def test_lr_schedule_values_floor_and_clamped_warmup():
+    groups = [ParamGroup("backbone", {}, base_lr=8e-3),
+              ParamGroup("classifier", {}, base_lr=8e-2)]
+    settings = TrainSettings()                  # batch 64, min_lr 1e-5
+    # pinned: earlier runs reproduce bit for bit only while these values hold
+    assert _lr_schedule(groups, settings, 5, 2) == [
+        {"backbone": 1e-05, "classifier": 1e-05},
+        {"backbone": 0.000505, "classifier": 0.005005},
+        {"backbone": 0.001, "classifier": 0.01},
+        {"backbone": 0.000505, "classifier": 0.005005},
+        {"backbone": 1e-05, "classifier": 1e-05}]
+    # warmup 9 over 4 epochs is clamped to 3: the last epoch is the peak
+    assert _lr_schedule(groups, settings, 4, 9) == [
+        {"backbone": 1e-05, "classifier": 1e-05},
+        {"backbone": 0.00034, "classifier": 0.00334},
+        {"backbone": 0.00067, "classifier": 0.00667},
+        {"backbone": 0.001, "classifier": 0.01}]
+    # a min_lr above a group's scaled peak is lowered to the lowest peak, and
+    # every group starts and ends at that one floor
+    high = replace(settings, min_lr=0.005)
+    peaks = [scaled_base_lr(g.base_lr, high.batch_size) for g in groups]
+    schedule = _lr_schedule(groups, high, 6, 2)
+    floor = schedule[-1]["classifier"]
+    assert schedule[0] == schedule[-1] == {"backbone": floor, "classifier": floor}
+    assert all(floor <= peak for peak in peaks) and floor < high.min_lr
+
+
+def test_finetune_floor_is_the_scaled_backbone_peak(monkeypatch):
+    # only the head trains, yet its cosine ends at the finetune backbone's
+    # scaled peak when that lies below min_lr
+    settings = tiny_settings(min_lr=1e-4, epochs_finetune=3)
+    ctx = _finetuned_ctx(settings)
+    backbone_peak = scaled_base_lr(
+        settings.backbone_lr * settings.finetune_lr_scale, settings.batch_size)
+    assert backbone_peak < settings.min_lr
+    step = AdamW.step
+    seen = []
+
+    def recording(self, lrs):
+        seen.append(lrs)
+        step(self, lrs)
+
+    monkeypatch.setattr(AdamW, "step", recording)
+    run_balanced_finetune(ctx)
+    assert seen[0]["classifier"] > settings.min_lr
+    assert seen[-1]["classifier"] == backbone_peak
+
+
 # --- balanced finetune ---------------------------------------------------------------
 
 def _finetuned_ctx(settings=None):
@@ -364,7 +416,6 @@ def test_finetune_embeds_each_exemplar_once_per_view(monkeypatch, hflip, views):
 
 
 def test_finetune_leaves_backbone_grads_unset(monkeypatch):
-    from tinycil.optim import AdamW
     ctx = _finetuned_ctx()
     step = AdamW.step
     grads_at_step = []

@@ -54,6 +54,10 @@ def test_spec_validation_errors():
                  image_size=12)
     with pytest.raises(ConfigError):
         toy_spec(embed_dim=30, num_heads=4)
+    # round(0.01 * 32) = 0 hidden units
+    with pytest.raises(ConfigError, match="mlp_ratio"):
+        toy_spec(embed_dim=32, mlp_ratio=0.01)
+    assert toy_spec(embed_dim=32, mlp_ratio=1 / 32).mlp_hidden == 1
 
 
 # --- forward ------------------------------------------------------------------

@@ -7,11 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tinycil import optim
 from tinycil.engine import TrainSettings, build_param_groups
 from tinycil.errors import ConfigError, TrainingDiverged
 from tinycil.model import ModelSpec, init_model
-from tinycil.optim import (AdamW, ParamGroup, ScheduleConfig, lr_at_epoch,
-                           scaled_base_lr)
+from tinycil.optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
@@ -31,37 +31,27 @@ def test_scaled_base_lr_values():
 
 
 def test_schedule_boundaries():
-    cfg = ScheduleConfig(peak_lr={"g": 1e-2}, total_epochs=20, warmup_epochs=5,
-                         min_lr=1e-5, batch_size=512)
-    assert lr_at_epoch(cfg, "g", 5) == pytest.approx(1e-2)
-    assert lr_at_epoch(cfg, "g", 19) == pytest.approx(1e-5, abs=1e-12)
+    # lr_at_epoch(peak, floor, epoch, total_epochs, warmup_epochs)
+    assert lr_at_epoch(1e-2, 1e-5, 5, 20, 5) == pytest.approx(1e-2)
+    assert lr_at_epoch(1e-2, 1e-5, 19, 20, 5) == pytest.approx(1e-5, abs=1e-12)
     mid = 5 + (19 - 5) // 2
-    assert lr_at_epoch(cfg, "g", mid) == pytest.approx((1e-2 + 1e-5) / 2, abs=1e-9)
+    assert lr_at_epoch(1e-2, 1e-5, mid, 20, 5) == pytest.approx(
+        (1e-2 + 1e-5) / 2, abs=1e-9)
 
 
 def test_schedule_warmup_is_linear_from_min():
-    cfg = ScheduleConfig(peak_lr={"g": 1e-2}, total_epochs=10, warmup_epochs=4,
-                         min_lr=1e-4, batch_size=512)
-    lrs = [lr_at_epoch(cfg, "g", e) for e in range(4)]
+    lrs = [lr_at_epoch(1e-2, 1e-4, e, 10, 4) for e in range(4)]
     assert lrs[0] == pytest.approx(1e-4)
     diffs = np.diff(lrs)
     np.testing.assert_allclose(diffs, diffs[0])
 
 
 def test_schedule_is_deterministic_and_range_checked():
-    cfg = ScheduleConfig(peak_lr={"g": 3e-3}, total_epochs=8, warmup_epochs=2)
-    assert [lr_at_epoch(cfg, "g", e) for e in range(8)] == \
-           [lr_at_epoch(cfg, "g", e) for e in range(8)]
-    with pytest.raises(ConfigError):
-        lr_at_epoch(cfg, "g", 8)
-
-
-def test_schedule_config_validation():
-    with pytest.raises(ConfigError):
-        ScheduleConfig(peak_lr={"g": 1e-3}, total_epochs=5, warmup_epochs=5)
-    with pytest.raises(ConfigError):
-        ScheduleConfig(peak_lr={"g": 1e-6}, total_epochs=5, min_lr=1e-3,
-                       batch_size=512)
+    assert [lr_at_epoch(3e-3, 1e-5, e, 8, 2) for e in range(8)] == \
+           [lr_at_epoch(3e-3, 1e-5, e, 8, 2) for e in range(8)]
+    for epoch in (8, -1):
+        with pytest.raises(ConfigError):
+            lr_at_epoch(3e-3, 1e-5, epoch, 8, 2)
 
 
 # --- AdamW ---------------------------------------------------------------------
@@ -84,10 +74,10 @@ def test_zero_grad_decay_multiplies():
     np.testing.assert_allclose(p.data, before * (1 - 0.0024))
 
 
-def test_first_step_is_signed_lr():
+def test_first_step_is_signed_lr(monkeypatch):
+    monkeypatch.setattr(optim, "ADAM_EPS", 1e-12)
     p = Tensor(np.zeros(4), requires_grad=True)
     params, opt = _single(p)
-    opt.eps = 1e-12
     p.grad = np.array([0.5, -0.3, 2.0, -1e-3])
     opt.step({"g": 1e-2})
     np.testing.assert_allclose(p.data, -1e-2 * np.sign(p.grad), rtol=1e-6)

@@ -628,7 +628,7 @@ def test_batch_norm_updates_running_stats():
     rm = np.zeros(2)
     rv = np.ones(2)
     T.batch_norm(T.Tensor(x), T.Tensor(np.ones(2)), T.Tensor(np.zeros(2)),
-                 rm, rv, training=True, momentum=0.1)
+                 rm, rv, training=True)
     mu = x.mean(axis=(0, 2, 3))
     var = x.var(axis=(0, 2, 3))
     np.testing.assert_allclose(rm, 0.1 * mu)
