@@ -16,6 +16,12 @@ import numpy as np
 from .errors import ConfigError
 from .rng import SplitMix64
 
+# a batch is mixed with probability MIX_PROB, by Mixup or CutMix with a
+# Beta(α, α) coefficient; the two α are DeiT's
+MIX_PROB = 0.5
+MIXUP_ALPHA = 0.8
+CUTMIX_ALPHA = 1.0
+
 
 @dataclass
 class AugmentConfig:
@@ -23,17 +29,10 @@ class AugmentConfig:
     mixup: bool = True
     cutmix: bool = True
     label_smoothing: float = 0.1
-    mixup_alpha: float = 0.8
-    cutmix_alpha: float = 1.0
-    mix_prob: float = 0.5           # chance a batch gets mixed at all
 
     def __post_init__(self):
-        for name in ("mixup_alpha", "cutmix_alpha"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ConfigError(f"{name} must be finite and > 0")
-        for name in ("label_smoothing", "mix_prob"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+        if not 0 <= self.label_smoothing <= 1:
+            raise ConfigError("label_smoothing must lie in [0, 1]")
 
     @property
     def uses_mixing(self) -> bool:
@@ -133,14 +132,14 @@ def augment_batch(images: np.ndarray, labels: np.ndarray, num_classes: int,
     batch = SoftBatch(images, targets, flipped)
     if not cfg.uses_mixing or b < 2:
         return batch
-    if stream.uniform() >= cfg.mix_prob:
+    if stream.uniform() >= MIX_PROB:
         return batch
     if cfg.mixup and cfg.cutmix:
         use_mixup = stream.uniform() < 0.5
     else:
         use_mixup = cfg.mixup
     if use_mixup:
-        lam = stream.beta(cfg.mixup_alpha, cfg.mixup_alpha)
+        lam = stream.beta(MIXUP_ALPHA, MIXUP_ALPHA)
         return mixup(batch, lam, stream)
-    lam = stream.beta(cfg.cutmix_alpha, cfg.cutmix_alpha)
+    lam = stream.beta(CUTMIX_ALPHA, CUTMIX_ALPHA)
     return cutmix(batch, lam, stream)

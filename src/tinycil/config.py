@@ -24,7 +24,7 @@ from .model import ModelSpec
 # protocol needs 4x less step training than a cold start (50 vs 200 epochs
 # at full scale)
 EPOCH_PRESETS = {"half_start": 5, "cold_start": 20}
-_MARGIN_KEYS = ("margin_ranking", "margin", "margin_top_k")
+_MARGIN_KEYS = ("margin_ranking",)
 
 DEFAULTS: dict[str, dict[str, object]] = {
     "protocol": {
@@ -59,7 +59,7 @@ DEFAULTS: dict[str, dict[str, object]] = {
         "mlp_ratio": 4.0,
     },
     # [train] and [augment] are the TrainSettings and AugmentConfig fields;
-    # the INI file keeps the margin-ranking loss's keys under [augment]
+    # the INI file keeps the margin-ranking switch under [augment]
     "train": {f.name: f.default for f in fields(TrainSettings)
               if f.name not in ("augment", *_MARGIN_KEYS)},
     "augment": {f.name: f.default for f in fields(AugmentConfig)} | {
@@ -95,9 +95,13 @@ def _parse_value(section: str, key: str, value, default):
 
 
 def load_config(path) -> dict:
-    """Read an INI config or a manifest JSON into a raw section->key dict."""
-    with open(path) as f:
-        text = f.read()
+    """Read an INI config or a manifest JSON into a raw section->key dict.
+    INI values are literal: a `%` is not an interpolation."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not a UTF-8 text file") from None
     try:
         if text.lstrip().startswith("{"):
             manifest = json.loads(text)
@@ -105,7 +109,7 @@ def load_config(path) -> dict:
             if not isinstance(config, dict):
                 raise ConfigError(f"{path}: JSON file has no 'config' section")
             return config
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(text, source=str(path))
     except (json.JSONDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -30,6 +30,14 @@ from .rng import SplitMix64
 from .tensor import NORM_EPS, Tensor
 
 LOG_EPS = 1e-12
+# fixed values of the recipe: the LR floor of the cosine schedule (DeiT), the
+# base of the adaptive distillation weight, the finetune's backbone LR scale,
+# and the margin m and top-K negatives of the margin-ranking loss (LUCIR)
+MIN_LR = 1e-5
+LAMBDA_BASE = 3.0
+FINETUNE_LR_SCALE = 0.1
+MARGIN = 0.5
+MARGIN_TOP_K = 2
 
 
 @dataclass
@@ -41,16 +49,10 @@ class TrainSettings:
     classifier_lr_multiplier: float = 10.0
     weight_decay: float = 0.24
     warmup_epochs: int = 2
-    min_lr: float = 1e-5
-    lambda_base: float = 3.0
     epochs_finetune: int = 20
-    finetune_lr_scale: float = 0.1
     balanced_finetune: bool = True        # the bias-correction stage switch
-    grad_clip: float = 0.0
     eta_init: float = 10.0
     margin_ranking: bool = False
-    margin: float = 0.5
-    margin_top_k: int = 2
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
@@ -62,21 +64,17 @@ class TrainSettings:
                 "augment.margin_ranking conflicts with augment.mixup / "
                 "augment.cutmix: margin ranking needs hard labels")
         for name in ("backbone_lr", "classifier_lr_multiplier", "weight_decay",
-                     "min_lr", "lambda_base", "finetune_lr_scale", "grad_clip",
-                     "eta_init", "margin"):
+                     "eta_init"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        for name in ("backbone_lr", "classifier_lr_multiplier", "finetune_lr_scale",
-                     "weight_decay", "min_lr", "grad_clip", "warmup_epochs"):
+        for name in ("backbone_lr", "classifier_lr_multiplier", "weight_decay",
+                     "warmup_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        for name in ("lambda_base", "eta_init"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.eta_init <= 0:
+            raise ConfigError("eta_init must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
-        if self.margin_top_k < 1:
-            raise ConfigError("augment.margin_top_k must be >= 1")
         if self.balanced_finetune and self.epochs_finetune < 1:
             raise ConfigError(
                 "epochs_finetune must be >= 1 when balanced_finetune is on")
@@ -114,13 +112,13 @@ class StageTrace:
 # ---------------------------------------------------------------------------
 # losses
 
-def adaptive_lambda(lambda_base: float, n_old: int, n_new: int) -> float:
-    """lambda_base * sqrt(n_old / n_new); zero before any old classes exist."""
+def adaptive_lambda(base: float, n_old: int, n_new: int) -> float:
+    """base * sqrt(n_old / n_new); zero before any old classes exist."""
     if n_new < 1:
         raise ConfigError("n_new must be >= 1")
     if n_old == 0:
         return 0.0
-    return lambda_base * math.sqrt(n_old / n_new)
+    return base * math.sqrt(n_old / n_new)
 
 
 def distill_loss(f_old: Tensor, f_new: Tensor) -> Tensor:
@@ -146,8 +144,9 @@ def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
 
 def margin_ranking_loss(state: ModelState, features: Tensor,
                         hard_labels: np.ndarray, n_old: int,
-                        margin: float, top_k: int) -> Tensor:
-    """Hinge on the top-K new-class cosine scores for old-class samples."""
+                        m: float, top_k: int) -> Tensor:
+    """Hinge at margin m on the top-K new-class cosine scores for old-class
+    samples."""
     labels = np.asarray(hard_labels, dtype=np.int64)
     rows = np.nonzero(labels < n_old)[0]
     n_new = state.spec.num_classes - n_old
@@ -160,7 +159,7 @@ def margin_ranking_loss(state: ModelState, features: Tensor,
     new_block = sel[:, n_old:]
     topk = np.argsort(-new_block.data, axis=1)[:, :k]
     negatives = T.take_along_axis(new_block, topk, axis=1)
-    hinge = T.relu(margin - y_score + negatives)
+    hinge = T.relu(m - y_score + negatives)
     return T.mean(T.sum_(hinge, axis=1))
 
 
@@ -174,8 +173,7 @@ def total_loss(ctx: StepContext, images: Tensor, targets: np.ndarray,
     loss = cross_entropy(probs, targets)
     if ctx.settings.margin_ranking and hard_labels is not None:
         mr = margin_ranking_loss(ctx.state, feats, hard_labels,
-                                 len(ctx.old_class_ids), ctx.settings.margin,
-                                 ctx.settings.margin_top_k)
+                                 len(ctx.old_class_ids), MARGIN, MARGIN_TOP_K)
         loss = loss + mr
     dis_value = None
     if f_old is not None and lam > 0.0:
@@ -218,11 +216,11 @@ def build_param_groups(state: ModelState,
 def _lr_schedule(groups: list[ParamGroup], settings: TrainSettings,
                  epochs: int, warmup: int) -> list[dict[str, float]]:
     """One `{group name: LR}` per epoch. Each group peaks at its batch-scaled
-    base LR; all share one floor, `min_lr` lowered to the smallest peak.
+    base LR; all share one floor, MIN_LR lowered to the smallest peak.
     Warmup is clamped to `epochs - 1` epochs, so every group reaches its peak."""
     peaks = {g.name: scaled_base_lr(g.base_lr, settings.batch_size)
              for g in groups}
-    floor = min(settings.min_lr, *peaks.values())
+    floor = min(MIN_LR, *peaks.values())
     warmup = min(warmup, epochs - 1)
     return [{name: lr_at_epoch(peak, floor, epoch, epochs, warmup)
              for name, peak in peaks.items()} for epoch in range(epochs)]
@@ -254,7 +252,7 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
     """Train the `groups` parameters on `batch_loss(idx)`, the scalar loss of
     rows `idx` of the stage's n rows, which runs on an active tape; one epoch
     per entry of `schedule`, each mapping a group name to its LR."""
-    opt = AdamW(groups, grad_clip=ctx.settings.grad_clip)
+    opt = AdamW(groups)
     trace = StageTrace(loss_trace=[], eta_trace=[])
     for epoch, lrs in enumerate(schedule):
         epoch_losses = []
@@ -291,7 +289,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     settings = ctx.settings
     images_u8, labels = _training_arrays(ctx)
     num_classes = ctx.state.spec.num_classes
-    lam = adaptive_lambda(settings.lambda_base, len(ctx.old_class_ids),
+    lam = adaptive_lambda(LAMBDA_BASE, len(ctx.old_class_ids),
                           len(ctx.new_class_ids))
     groups = build_param_groups(ctx.state, settings)
     schedule = _lr_schedule(groups, settings, ctx.epochs_stage1,
@@ -353,7 +351,7 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
                 if settings.augment.hflip else None)
 
     groups = build_param_groups(ctx.state, replace(
-        settings, backbone_lr=settings.backbone_lr * settings.finetune_lr_scale))
+        settings, backbone_lr=settings.backbone_lr * FINETUNE_LR_SCALE))
     # every group sets the floor (the scaled backbone peak may be the
     # lowest); only the head trains
     schedule = _lr_schedule(groups, settings, settings.epochs_finetune, 0)

@@ -53,22 +53,12 @@ def lr_at_epoch(peak: float, floor: float, epoch: int, total_epochs: int,
     return floor + 0.5 * (peak - floor) * (1.0 + math.cos(math.pi * frac))
 
 
-def global_grad_norm(params: dict[str, Tensor]) -> float:
-    total = 0.0
-    for t in params.values():
-        if t.grad is not None:
-            total += float((t.grad * t.grad).sum())
-    return math.sqrt(total)
-
-
 class AdamW:
     """Decoupled weight decay Adam over the tensors its groups hold, with β1,
-    β2 and ε fixed at BETA1, BETA2 and ADAM_EPS. A `grad_clip` above 0 caps
-    the global gradient norm before each update."""
+    β2 and ε fixed at BETA1, BETA2 and ADAM_EPS."""
 
-    def __init__(self, groups: list[ParamGroup], grad_clip: float = 0.0):
+    def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self.grad_clip = grad_clip
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
         self._t = 0
@@ -82,17 +72,9 @@ class AdamW:
 
     def step(self, lrs: dict[str, float]) -> None:
         """One update; `lrs` maps group name to this step's learning rate."""
-        params = self._params()
-        for name, p in params.items():
+        for name, p in self._params().items():
             if p.grad is not None and not np.isfinite(p.grad).all():
                 raise TrainingDiverged(f"non-finite gradient in {name!r}")
-        if self.grad_clip > 0.0:
-            norm = global_grad_norm(params)
-            if norm > self.grad_clip:
-                scale = self.grad_clip / norm
-                for t in params.values():
-                    if t.grad is not None:
-                        t.grad = t.grad * scale
         self._t += 1
         bc1 = 1.0 - BETA1 ** self._t
         bc2 = 1.0 - BETA2 ** self._t

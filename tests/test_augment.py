@@ -121,8 +121,9 @@ def test_disabled_pipeline_gives_exact_one_hots():
     assert set(np.unique(out.targets)) <= {0.0, 1.0}
 
 
-def test_mixing_without_smoothing_at_most_two_nonzero():
-    cfg = AugmentConfig(label_smoothing=0.0, mix_prob=1.0, hflip=False)
+def test_mixing_without_smoothing_at_most_two_nonzero(monkeypatch):
+    monkeypatch.setattr(augment, "MIX_PROB", 1.0)
+    cfg = AugmentConfig(label_smoothing=0.0, hflip=False)
     for seed in range(10):
         images, labels = _batch(seed=seed)
         out = augment_batch(images, labels, 10, cfg, SplitMix64(100 + seed))
@@ -174,8 +175,9 @@ def test_flipped_marks_exactly_the_mirrored_rows(seed):
     assert not out.mixed
 
 
-def test_flipped_is_all_false_without_hflip():
-    cfg = AugmentConfig(hflip=False, mix_prob=1.0)
+def test_flipped_is_all_false_without_hflip(monkeypatch):
+    monkeypatch.setattr(augment, "MIX_PROB", 1.0)
+    cfg = AugmentConfig(hflip=False)
     images, labels = _batch(seed=16)
     out = augment_batch(images, labels, 10, cfg, SplitMix64(17))
     assert out.flipped.dtype == bool and out.flipped.shape == (6,)
@@ -183,11 +185,14 @@ def test_flipped_is_all_false_without_hflip():
 
 
 @pytest.mark.parametrize("cfg,b", [
-    (AugmentConfig(mixup=False, cutmix=False, mix_prob=1.0), 6),
-    (AugmentConfig(mix_prob=1.0), 1),
-    (AugmentConfig(mix_prob=0.0), 6),
+    # each cfg is (AugmentConfig, MIX_PROB)
+    ((AugmentConfig(mixup=False, cutmix=False), 1.0), 6),
+    ((AugmentConfig(), 1.0), 1),
+    ((AugmentConfig(), 0.0), 6),
 ])
-def test_unmixed_batches_say_so(cfg, b):
+def test_unmixed_batches_say_so(monkeypatch, cfg, b):
+    cfg, mix_prob = cfg
+    monkeypatch.setattr(augment, "MIX_PROB", mix_prob)
     images, labels = _batch(b=b, seed=18)
     out = augment_batch(images, labels, 10, cfg, SplitMix64(19))
     assert not out.mixed
@@ -195,21 +200,21 @@ def test_unmixed_batches_say_so(cfg, b):
 
 @pytest.mark.parametrize("mixup,cutmix", [(True, False), (False, True), (True, True)])
 @pytest.mark.parametrize("hflip", [True, False])
-def test_mixed_follows_the_mix_draw(mixup, cutmix, hflip):
+def test_mixed_follows_the_mix_draw(monkeypatch, mixup, cutmix, hflip):
     images, labels = _batch(seed=20)
+    cfg = AugmentConfig(hflip=hflip, mixup=mixup, cutmix=cutmix)
     for seed in range(21, 29):
-        u = _mix_draw(seed, 6, AugmentConfig(hflip=hflip))
+        u = _mix_draw(seed, 6, cfg)
         for mix_prob, mixed in ((u, False), (np.nextafter(u, 1.0), True)):
-            cfg = AugmentConfig(hflip=hflip, mixup=mixup, cutmix=cutmix,
-                                mix_prob=float(mix_prob))
+            monkeypatch.setattr(augment, "MIX_PROB", float(mix_prob))
             out = augment_batch(images, labels, 10, cfg, SplitMix64(seed))
             assert out.mixed is mixed, (seed, mix_prob)
 
 
-def test_mixing_keeps_the_flip_mask():
+def test_mixing_keeps_the_flip_mask(monkeypatch):
+    monkeypatch.setattr(augment, "MIX_PROB", 1.0)
     images, labels = _batch(seed=29)
-    out = augment_batch(images, labels, 10, AugmentConfig(mix_prob=1.0),
-                        SplitMix64(30))
+    out = augment_batch(images, labels, 10, AugmentConfig(), SplitMix64(30))
     assert out.mixed
     np.testing.assert_array_equal(out.flipped, SplitMix64(30).uniforms(6) < 0.5)
 

@@ -5,8 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import shutil
+import subprocess
+import sys
 import xml.dom.minidom
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,8 @@ from tinycil.engine import TrainSettings
 from tinycil.errors import ConfigError
 from tinycil.memory import load_store
 from tinycil.model import load_checkpoint
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_CONFIG = """
 [protocol]
@@ -79,11 +85,38 @@ def test_defaults_are_the_dataclass_defaults():
     assert build_train_settings(materialize({})) == TrainSettings()
 
 
-def test_unknown_key_rejected_with_path(tmp_path):
+# keys of fixed recipe values that are now module constants
+RETIRED_KEYS = [("train", "min_lr"), ("train", "lambda_base"),
+                ("train", "finetune_lr_scale"), ("train", "grad_clip"),
+                ("augment", "margin"), ("augment", "margin_top_k"),
+                ("augment", "mix_prob"), ("augment", "mixup_alpha"),
+                ("augment", "cutmix_alpha")]
+
+
+@pytest.mark.parametrize("section,key", [("train", "learning_rate"),
+                                         *RETIRED_KEYS])
+def test_unknown_key_rejected_with_path(tmp_path, capsys, section, key):
     path = tmp_path / "bad.ini"
-    path.write_text("[train]\nlearning_rate = 1\n")
-    with pytest.raises(ConfigError, match="train.learning_rate"):
+    path.write_text(f"[{section}]\n{key} = 1\n")
+    with pytest.raises(ConfigError, match=f"{section}.{key}"):
         materialize(load_config(path))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": {section: {key: 1}}}))
+    out = tmp_path / "o"
+    for config in (path, manifest):
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"unknown config key {section}.{key}" in err
+        assert not out.exists()
+
+
+def test_example_config_names_only_default_keys():
+    raw = load_config(ROOT / "configs" / "example.ini")
+    for section, keys in raw.items():
+        assert section in DEFAULTS
+        assert set(keys) <= set(DEFAULTS[section]), section
+    materialize(raw)
 
 
 def test_margin_mixup_conflict_names_keys(tmp_path):
@@ -141,10 +174,13 @@ def test_unparsable_value_exit_2_names_key(tmp_path, capsys, section, key,
     ("broken.json", '{"config": \n'),
     ("no_config.json", '{"config": [1, 2]}\n'),
     ("missing.ini", None),
+    ("data.cild", b"CILD\x01\x00\x80\xff\xfe\x00"),
 ])
 def test_malformed_config_file_exit_2(tmp_path, capsys, name, text):
     path = tmp_path / name
-    if text is not None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    elif text is not None:
         path.write_text(text)
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert name in capsys.readouterr().err
@@ -155,7 +191,7 @@ def test_malformed_config_file_exit_2(tmp_path, capsys, name, text):
     ("train", "batch_size", 1.5),
     ("train", "batch_size", True),
     ("protocol", "budget", 5),
-    ("train", "min_lr", None),
+    ("train", "weight_decay", None),
     ("augment", "hflip", 2),
 ])
 def test_manifest_value_of_wrong_type_exit_2(tmp_path, capsys, section, key,
@@ -174,7 +210,7 @@ def test_manifest_section_not_a_table_rejected():
 
 
 def test_manifest_int_for_float_key_is_a_float():
-    value = materialize({"train": {"min_lr": 0}})["train"]["min_lr"]
+    value = materialize({"train": {"weight_decay": 0}})["train"]["weight_decay"]
     assert value == 0.0 and type(value) is float
 
 
@@ -194,25 +230,16 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("protocol", "budget", "total:5", "budget"),
     ("protocol", "budget", "total:-1", "budget"),
     ("model", "num_blocks", "-1", "num_blocks"),
-    ("augment", "mixup_alpha", "0", "mixup_alpha"),
-    ("augment", "cutmix_alpha", "-1", "cutmix_alpha"),
-    ("augment", "cutmix_alpha", "inf", "cutmix_alpha"),
     ("augment", "label_smoothing", "2", "label_smoothing"),
-    ("augment", "mix_prob", "-0.5", "mix_prob"),
     ("train", "backbone_lr", "nan", "backbone_lr"),
     ("train", "classifier_lr_multiplier", "nan", "classifier_lr_multiplier"),
     ("train", "eta_init", "nan", "eta_init"),
     ("train", "eta_init", "0", "eta_init"),
     ("train", "backbone_lr", "-1", "backbone_lr"),
     ("train", "classifier_lr_multiplier", "-1", "classifier_lr_multiplier"),
-    ("train", "finetune_lr_scale", "-1", "finetune_lr_scale"),
     ("train", "weight_decay", "-1", "weight_decay"),
-    ("train", "min_lr", "-1", "min_lr"),
-    ("train", "grad_clip", "-1", "grad_clip"),
     ("train", "warmup_epochs", "-1", "warmup_epochs"),
     ("model", "mlp_ratio", "0.01", "mlp_ratio"),
-    ("augment", "margin_top_k", "0", "augment.margin_top_k"),
-    ("augment", "margin_top_k", "-3", "augment.margin_top_k"),
     ("data", "difficulty", "nan", "data.difficulty"),
     ("data", "difficulty", "-5", "data.difficulty"),
     ("data", "classes", "70000", "data.classes"),
@@ -339,6 +366,40 @@ def test_rerun_from_manifest_writes_to_run_out_unless_out_given(tmp_path,
     assert ((out / "summary.csv").read_bytes()
             == (tmp_path / "a" / "summary.csv").read_bytes())
     assert not (tmp_path / "default").exists()
+
+
+def test_percent_in_an_ini_value_is_literal(tmp_path, monkeypatch):
+    # a `%` used to be read as an interpolation and died with a traceback
+    monkeypatch.setenv("TINYCIL_OUT_ROOT", str(tmp_path / "default"))
+    out = tmp_path / "100%done"
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(TINY_CONFIG.replace("[run]\n", f"[run]\nout = {out}\n"))
+    assert main(["run", "--config", str(cfg)]) == 0
+    assert (out / "summary.csv").exists()
+    assert json.loads((out / "manifest.json").read_text())["config"]["run"][
+        "out"] == str(out)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["100%done",
+                                                          "percent.ini"]
+    cfg.write_text("[run]\nout = a%%b\n")
+    assert load_config(cfg)["run"]["out"] == "a%%b"
+
+
+def _python_m_tinycil(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "tinycil", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_tinycil_runs_the_cli(tmp_path):
+    done = _python_m_tinycil("--help")
+    assert done.returncode == 0 and "gen-data" in done.stdout
+    missing = tmp_path / "missing.ini"
+    done = _python_m_tinycil("run", "--config", str(missing), "--out",
+                             str(tmp_path / "o"))
+    assert done.returncode == 2
+    assert done.stderr.startswith("error: ") and "missing.ini" in done.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_divergence_preserves_partial_reports(config_path, tmp_path,

@@ -35,7 +35,7 @@ TINY_SPEC = ModelSpec(image_size=8, in_channels=3, stem_kind="patchify",
 def tiny_settings(**kw):
     base = dict(batch_size=16, backbone_lr=8e-3, warmup_epochs=1,
                 epochs_finetune=3,
-                augment=AugmentConfig(label_smoothing=0.0, mix_prob=0.5))
+                augment=AugmentConfig(label_smoothing=0.0))
     base.update(kw)
     return TrainSettings(**base)
 
@@ -131,7 +131,7 @@ def test_margin_satisfied_is_zero():
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0, 0.0]]))   # cos: [1, 0, 0]
     loss = margin_ranking_loss(state, f, np.array([0]), n_old=1,
-                               margin=0.5, top_k=1)
+                               m=0.5, top_k=1)
     assert loss.item() == 0.0
 
 
@@ -142,7 +142,7 @@ def test_margin_hand_value():
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0]]))
     loss = margin_ranking_loss(state, f, np.array([0]), n_old=1,
-                               margin=0.5, top_k=1)
+                               m=0.5, top_k=1)
     assert loss.item() == pytest.approx(0.3, abs=1e-9)
 
 
@@ -150,7 +150,7 @@ def test_margin_no_eligible_rows_is_zero():
     state = _margin_state(np.eye(3))
     f = Tensor(np.ones((2, 3)))
     loss = margin_ranking_loss(state, f, np.array([2, 2]), n_old=2,
-                               margin=0.5, top_k=1)
+                               m=0.5, top_k=1)
     assert loss.item() == 0.0
 
 
@@ -198,8 +198,10 @@ def test_stage1_loss_decreases_on_separable_data():
     assert trace.loss_trace[-1] < trace.loss_trace[0]
 
 
-def test_stage1_zero_lr_is_bit_exact():
-    settings = tiny_settings(backbone_lr=0.0, min_lr=0.0, warmup_epochs=0)
+def test_stage1_zero_lr_is_bit_exact(monkeypatch):
+    import tinycil.engine as engine
+    monkeypatch.setattr(engine, "MIN_LR", 0.0)
+    settings = tiny_settings(backbone_lr=0.0, warmup_epochs=0)
     ctx, _ = make_ctx(epochs=2, settings=settings, seed=4)
     before = {n: t.data.copy() for n, t in ctx.state.named_parameters().items()}
     run_stage1(ctx)
@@ -304,7 +306,7 @@ def test_stage1_forwards_each_image_through_the_old_model_once_per_view(
     import tinycil.engine as engine
     import tinycil.model as model
     ctx = _distill_ctx(tiny_settings(augment=AugmentConfig(
-        hflip=hflip, label_smoothing=0.0, mix_prob=0.5)))
+        hflip=hflip, label_smoothing=0.0)))
     old_rows, mixed_rows = [], []
 
     def counting(state, images, mode="eval"):
@@ -329,10 +331,11 @@ def test_stage1_forwards_each_image_through_the_old_model_once_per_view(
 
 # --- LR schedule --------------------------------------------------------------------
 
-def test_lr_schedule_values_floor_and_clamped_warmup():
+def test_lr_schedule_values_floor_and_clamped_warmup(monkeypatch):
+    import tinycil.engine as engine
     groups = [ParamGroup("backbone", {}, base_lr=8e-3),
               ParamGroup("classifier", {}, base_lr=8e-2)]
-    settings = TrainSettings()                  # batch 64, min_lr 1e-5
+    settings = TrainSettings()                  # batch 64; MIN_LR is 1e-5
     # pinned: earlier runs reproduce bit for bit only while these values hold
     assert _lr_schedule(groups, settings, 5, 2) == [
         {"backbone": 1e-05, "classifier": 1e-05},
@@ -346,24 +349,26 @@ def test_lr_schedule_values_floor_and_clamped_warmup():
         {"backbone": 0.00034, "classifier": 0.00334},
         {"backbone": 0.00067, "classifier": 0.00667},
         {"backbone": 0.001, "classifier": 0.01}]
-    # a min_lr above a group's scaled peak is lowered to the lowest peak, and
+    # a MIN_LR above a group's scaled peak is lowered to the lowest peak, and
     # every group starts and ends at that one floor
-    high = replace(settings, min_lr=0.005)
-    peaks = [scaled_base_lr(g.base_lr, high.batch_size) for g in groups]
-    schedule = _lr_schedule(groups, high, 6, 2)
+    monkeypatch.setattr(engine, "MIN_LR", 0.005)
+    peaks = [scaled_base_lr(g.base_lr, settings.batch_size) for g in groups]
+    schedule = _lr_schedule(groups, settings, 6, 2)
     floor = schedule[-1]["classifier"]
     assert schedule[0] == schedule[-1] == {"backbone": floor, "classifier": floor}
-    assert all(floor <= peak for peak in peaks) and floor < high.min_lr
+    assert all(floor <= peak for peak in peaks) and floor < engine.MIN_LR
 
 
 def test_finetune_floor_is_the_scaled_backbone_peak(monkeypatch):
     # only the head trains, yet its cosine ends at the finetune backbone's
-    # scaled peak when that lies below min_lr
-    settings = tiny_settings(min_lr=1e-4, epochs_finetune=3)
+    # scaled peak when that lies below MIN_LR
+    import tinycil.engine as engine
+    monkeypatch.setattr(engine, "MIN_LR", 1e-4)
+    settings = tiny_settings(epochs_finetune=3)
     ctx = _finetuned_ctx(settings)
     backbone_peak = scaled_base_lr(
-        settings.backbone_lr * settings.finetune_lr_scale, settings.batch_size)
-    assert backbone_peak < settings.min_lr
+        settings.backbone_lr * engine.FINETUNE_LR_SCALE, settings.batch_size)
+    assert backbone_peak < engine.MIN_LR
     step = AdamW.step
     seen = []
 
@@ -373,7 +378,7 @@ def test_finetune_floor_is_the_scaled_backbone_peak(monkeypatch):
 
     monkeypatch.setattr(AdamW, "step", recording)
     run_balanced_finetune(ctx)
-    assert seen[0]["classifier"] > settings.min_lr
+    assert seen[0]["classifier"] > engine.MIN_LR
     assert seen[-1]["classifier"] == backbone_peak
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tinycil import optim
-from tinycil.engine import TrainSettings, build_param_groups
+from tinycil.engine import FINETUNE_LR_SCALE, TrainSettings, build_param_groups
 from tinycil.errors import ConfigError, TrainingDiverged
 from tinycil.model import ModelSpec, init_model
 from tinycil.optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
@@ -122,7 +122,7 @@ def test_param_groups_partition_the_state_parameters():
     # state must sit in exactly one group, as the state's own Tensor object
     stage1 = TrainSettings()
     finetune = replace(stage1,
-                       backbone_lr=stage1.backbone_lr * stage1.finetune_lr_scale)
+                       backbone_lr=stage1.backbone_lr * FINETUNE_LR_SCALE)
     for stem in ("patchify", "conv"):
         spec = ModelSpec(image_size=8, stem_kind=stem, patch_size=4,
                          stem_channels=(8, 16), embed_dim=16, num_blocks=2,
@@ -134,15 +134,6 @@ def test_param_groups_partition_the_state_parameters():
             params = state.named_parameters()
             assert sorted(name for name, _ in grouped) == sorted(params)
             assert all(t is params[name] for name, t in grouped)
-
-
-def test_grad_clip_scales_global_norm():
-    p = Tensor(np.zeros(4), requires_grad=True)
-    opt = AdamW([ParamGroup("g", {"w": p}, base_lr=1e-2)], grad_clip=1.0)
-    p.grad = np.full(4, 10.0)
-    opt.step({"g": 1e-2})
-    # after clipping the effective grad had norm 1; direction preserved
-    assert (p.data < 0).all()
 
 
 def test_zero_grads_helper():
