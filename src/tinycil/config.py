@@ -96,7 +96,11 @@ def _parse_value(section: str, key: str, value, default):
 
 def load_config(path) -> dict:
     """Read an INI config or a manifest JSON into a raw section->key dict.
-    INI values are literal: a `%` is not an interpolation."""
+
+    INI values are literal: a `%` is not an interpolation. The parser has no
+    default section, so `[DEFAULT]` is an ordinary name, which `materialize`
+    rejects as an unknown section.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -109,7 +113,9 @@ def load_config(path) -> dict:
             if not isinstance(config, dict):
                 raise ConfigError(f"{path}: JSON file has no 'config' section")
             return config
-        parser = configparser.ConfigParser(interpolation=None)
+        # no header line can spell a newline, so no section is the default
+        parser = configparser.ConfigParser(interpolation=None,
+                                           default_section="\n")
         parser.read_string(text, source=str(path))
     except (json.JSONDecodeError, configparser.Error) as exc:
         raise ConfigError(f"{path}: {exc}") from None

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -29,7 +31,13 @@ from .tensor import NORM_EPS, Tensor
 
 TEMPERATURE_FLOOR = 1e-3
 INIT_STD = 0.02
-EMBED_CHUNK = 512          # images per untaped eval-mode forward
+EMBED_CHUNK = 128          # images per untaped eval-mode forward
+# `embed`'s chunks run here, one worker per core this process may use (the
+# CPU count where the OS has no affinity call). numpy's GEMMs and ufuncs and
+# scipy's erf release the GIL, so the chunks really run at once.
+_EMBED_POOL = ThreadPoolExecutor(
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1, thread_name_prefix="tinycil-embed")
 
 CHECKPOINT_MAGIC = b"CILM"
 CHECKPOINT_VERSION = 1
@@ -292,16 +300,26 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
 
 def embed(state: ModelState, images_u8: np.ndarray,
           flip: bool = False) -> np.ndarray:
-    """Eval-mode features of uint8 images, optionally mirrored, in chunks."""
+    """Eval-mode features of uint8 images, optionally mirrored.
+
+    Each EMBED_CHUNK-image chunk runs on the pool and writes its own rows;
+    no image's feature depends on the others, so neither does the result.
+    Workers have no open tape, so nothing is recorded even inside the
+    caller's `Tape`. A chunk's error is raised here.
+    """
     if images_u8.dtype != np.uint8:
         raise TypeError(f"embed takes uint8 images, got {images_u8.dtype}")
     feats = np.empty((len(images_u8), state.spec.embed_dim))
-    for start in range(0, len(images_u8), EMBED_CHUNK):
+
+    def run_chunk(start: int) -> None:
         chunk = images_u8[start:start + EMBED_CHUNK].astype(np.float64) / 255.0
         if flip:
             chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
         feats[start:start + len(chunk)] = forward_features(
             state, Tensor(chunk), mode="eval").data
+
+    for _ in _EMBED_POOL.map(run_chunk, range(0, len(images_u8), EMBED_CHUNK)):
+        pass
     return feats
 
 

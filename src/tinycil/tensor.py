@@ -18,22 +18,38 @@ tape outlives its batch.
 Gradients accumulate additively within a single backward pass; running
 backward twice on the same tape raises.
 
+The tape stack is thread-local: a `Tape` opened in one thread is never the
+active tape of another, so ops that `model.embed` runs on its worker
+threads record nothing and cannot race on the caller's tape.
+
 Importing this module raises glibc's heap top pad (see `_M_TOP_PAD`).
 Without it, the heap top that one batch frees is trimmed back to the kernel
-and the next batch's forward faults the same pages in again.
+and the next batch's forward faults the same pages in again. It also limits
+glibc to one malloc arena (`_M_ARENA_MAX`), so `embed`'s worker threads
+allocate from the main heap that the pad keeps warm, not each from an arena
+of its own that grows the peak resident set.
 """
 
 from __future__ import annotations
 
 import ctypes
 import math
+import threading
 
 import numpy as np
 from scipy.special import erf
 
 from .errors import ShapeError, TapeError
 
-_TAPE_STACK: list["Tape"] = []
+
+class _TapeStack(threading.local):
+    """Each thread's own stack of open tapes."""
+
+    def __init__(self):
+        self.stack: list[Tape] = []
+
+
+_TAPES = _TapeStack()
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -50,6 +66,9 @@ NORM_EPS = 1e-12        # l2_normalize's floor on a row's norm
 # are never touched take no memory.
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 256 << 20
+# mallopt(M_ARENA_MAX): with 1, threads share the main heap instead of each
+# getting an arena of its own, whose pages the top pad does not keep.
+_M_ARENA_MAX = -8
 
 
 def _keep_freed_heap_top() -> None:
@@ -60,6 +79,7 @@ def _keep_freed_heap_top() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 _keep_freed_heap_top()
@@ -160,11 +180,11 @@ class Tape:
         self.consumed = False
 
     def __enter__(self) -> "Tape":
-        _TAPE_STACK.append(self)
+        _TAPES.stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPE_STACK.pop()
+        _TAPES.stack.pop()
         return False
 
     def __len__(self) -> int:
@@ -172,7 +192,9 @@ class Tape:
 
 
 def active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    """The innermost tape open in the calling thread."""
+    stack = _TAPES.stack
+    return stack[-1] if stack else None
 
 
 def _tracked(t: Tensor, tape: Tape) -> bool:

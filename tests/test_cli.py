@@ -187,6 +187,22 @@ def test_malformed_config_file_exit_2(tmp_path, capsys, name, text):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("run_section", ["", "[run]\nout = {out}\n"])
+def test_default_section_exit_2(tmp_path, monkeypatch, capsys, run_section):
+    # configparser used to copy [DEFAULT] keys into every section: alone, the
+    # seed was dropped; beside [run], it set run.seed
+    monkeypatch.setenv("TINYCIL_OUT_ROOT", str(tmp_path / "default"))
+    cfg = tmp_path / "default.ini"
+    cfg.write_text("[DEFAULT]\nseed = 3\n\n"
+                   + run_section.format(out=tmp_path / "o"))
+    with pytest.raises(ConfigError, match=r"\[DEFAULT\]"):
+        materialize(load_config(cfg))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: unknown config section [DEFAULT]\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["default.ini"]
+
+
 @pytest.mark.parametrize("section,key,value", [
     ("train", "batch_size", 1.5),
     ("train", "batch_size", True),

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -379,3 +382,93 @@ def test_state_hash_changes_with_params():
     h0 = M.state_hash(state)
     state.backbone["cls_token"].data[0, 0, 0] += 1e-9
     assert M.state_hash(state) != h0
+
+
+# --- embed -------------------------------------------------------------------
+
+def _serial_embed(state, images_u8, flip, chunk):
+    """Eval forwards of consecutive `chunk`-image slices, on this thread."""
+    parts = [np.empty((0, state.spec.embed_dim))]
+    for start in range(0, len(images_u8), chunk):
+        x = images_u8[start:start + chunk].astype(np.float64) / 255.0
+        if flip:
+            x = x[..., ::-1]
+        parts.append(M.forward_features(state, T.Tensor(x), "eval").data)
+    return np.concatenate(parts)
+
+
+def _embed_state(stem):
+    state = M.init_model(toy_spec(stem_kind=stem), SplitMix64(11))
+    rng = np.random.default_rng(5)
+    for name, buf in state.buffers.items():       # running stats off 0 and 1
+        buf[:] = rng.uniform(0.5, 1.5, buf.shape) if "var" in name else \
+            rng.normal(0, 0.1, buf.shape)
+    return state
+
+
+def _u8_images(n, spec):
+    rng = np.random.default_rng(n)
+    return rng.integers(0, 256, (n, spec.in_channels, spec.image_size,
+                                 spec.image_size), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("stem", ["patchify", "conv"])
+@pytest.mark.parametrize("flip", [False, True])
+def test_embed_is_bitwise_the_serial_chunked_forward(stem, flip, monkeypatch):
+    state = _embed_state(stem)
+    counts = (0, 1, 127, 128, 129, 300)
+    expected = {}
+    for n in counts:
+        images = _u8_images(n, state.spec)
+        got = M.embed(state, images, flip=flip)
+        assert got.shape == (n, state.spec.embed_dim)
+        # the pool's chunks, and 512-image chunks, run one after another
+        for chunk in (M.EMBED_CHUNK, 512):
+            assert np.array_equal(got, _serial_embed(state, images, flip, chunk)), (n, chunk)
+        expected[n] = got
+    # one worker, and more workers than cores switching as often as they can
+    interval = sys.getswitchinterval()
+    for workers in (1, 4):
+        with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
+            m.setattr(M, "_EMBED_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                for n in counts:
+                    got = M.embed(state, _u8_images(n, state.spec), flip=flip)
+                    assert np.array_equal(got, expected[n]), (workers, n)
+            finally:
+                sys.setswitchinterval(interval)
+
+
+def test_embed_forwards_each_chunk_once(monkeypatch):
+    state = _embed_state("patchify")
+    seen = []
+    forward = M.forward_features
+
+    def spy(st, images, mode="eval"):
+        seen.append((images.shape[0], mode))
+        return forward(st, images, mode)
+
+    monkeypatch.setattr(M, "forward_features", spy)
+    M.embed(state, _u8_images(300, state.spec))
+    assert sorted(seen) == [(44, "eval"), (128, "eval"), (128, "eval")]
+
+
+def test_embed_inside_a_tape_records_nothing():
+    state = _embed_state("conv")
+    images = _u8_images(300, state.spec)
+    with T.Tape() as tape:
+        feats = M.embed(state, images, flip=True)
+        assert T.active_tape() is tape
+    assert len(tape) == 0
+    assert np.array_equal(feats, _serial_embed(state, images, True, M.EMBED_CHUNK))
+
+
+def test_embed_raises_a_chunk_error_and_keeps_working():
+    state = _embed_state("conv")
+    wrong = np.zeros((300, 3, 8, 8), dtype=np.uint8)      # spec wants 16x16
+    with pytest.raises(ShapeError, match=r"expected images \[b, 3, 16, 16\]"):
+        M.embed(state, wrong)
+    images = _u8_images(129, state.spec)
+    assert np.array_equal(M.embed(state, images),
+                          _serial_embed(state, images, False, M.EMBED_CHUNK))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import weakref
 
 import numpy as np
@@ -457,6 +458,27 @@ def test_untracked_tensor_never_gets_grad():
     T.backward(tape, loss)
     assert c.grad is None
     np.testing.assert_array_equal(x.grad, c.data)
+
+
+def test_tape_is_active_only_in_the_thread_that_opened_it():
+    x = T.Tensor(np.ones(3), requires_grad=True)
+    seen = {}
+
+    def other_thread():
+        seen["tape"] = T.active_tape()
+        seen["out"] = T.mul(x, x)
+        with T.Tape() as inner:
+            seen["inner"] = T.active_tape() is inner
+
+    with T.Tape() as tape:
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+        assert T.active_tape() is tape
+    assert seen["tape"] is None and seen["inner"]
+    assert seen["out"].tape_id is None and len(tape) == 0
+    assert T.active_tape() is None
 
 
 def test_grads_accumulate_across_uses():
