@@ -23,8 +23,8 @@ from .errors import ConfigError, TrainingDiverged
 from .memory import ExemplarStore, herding_select, per_class_budget
 from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
-                    cosine_logits, cosine_scores, embed, expand_classifier,
-                    forward_features, init_model)
+                    cosine_logits, cosine_scores, embed, embed_chunks,
+                    expand_classifier, forward_features, init_model)
 from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
 from .tensor import NORM_EPS, Tensor
@@ -374,14 +374,23 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
 
 def construct_exemplars(state: ModelState, dataset: LabeledDataset,
                         class_ids, budget: int) -> dict[int, np.ndarray]:
-    """Herd each class's training images with the current (stage-1) model."""
+    """Herd each class's training images with the current (stage-1) model.
+
+    One pooled `embed_chunks` pass covers every class, its chunks crossing
+    class boundaries; each class is herded as soon as its rows are in.
+    """
+    idx = [dataset.class_indices("train", int(cid)) for cid in class_ids]
+    feats, chunks = embed_chunks(
+        state, dataset.images, np.concatenate([np.zeros(0, np.int64), *idx]), False)
     out: dict[int, np.ndarray] = {}
-    for cid in class_ids:
-        idx = dataset.class_indices("train", int(cid))
-        f = embed(state, dataset.images[idx])
+    done = end = 0
+    for cid, rows in zip(class_ids, idx):
+        end += len(rows)
+        while done < end:
+            done = next(chunks)
+        f = feats[end - len(rows):end]
         f = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), NORM_EPS)
-        order = herding_select(f, budget)
-        out[int(cid)] = dataset.images[idx[order]]
+        out[int(cid)] = dataset.images[rows[herding_select(f, budget)]]
     return out
 
 

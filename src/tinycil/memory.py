@@ -58,19 +58,19 @@ def herding_select(features: np.ndarray, budget: int) -> list[int]:
         raise ConfigError(f"herding_select needs a non-empty [n, d] matrix, got {f.shape}")
     if budget < 1:
         raise ConfigError(f"budget must be >= 1, got {budget}")
-    n = f.shape[0]
     mu = f.mean(axis=0)
     chosen: list[int] = []
-    running = np.zeros(f.shape[1])
-    remaining = np.arange(n)
-    for k in range(1, min(budget, n) + 1):
-        cand = (running + f[remaining]) / k
-        d2 = ((cand - mu) ** 2).sum(axis=1)
-        pick = int(np.argmin(d2))      # first minimum -> lowest index on ties
-        idx = int(remaining[pick])
+    running, taken = np.zeros(f.shape[1]), np.zeros(len(f), dtype=bool)
+    cand, d2 = np.empty(f.shape), np.empty(len(f))
+    for k in range(1, min(budget, len(f)) + 1):
+        # d2 = |(running + f_i) / k - mu|^2 for every row, in place
+        np.subtract(np.divide(np.add(running, f, out=cand), k, out=cand), mu, out=cand)
+        np.sum(np.square(cand, out=cand), axis=1, out=d2)
+        d2[taken] = np.inf
+        idx = int(np.argmin(d2))      # first minimum -> lowest index on ties
         chosen.append(idx)
+        taken[idx] = True
         running += f[idx]
-        remaining = np.delete(remaining, pick)
     return chosen
 
 

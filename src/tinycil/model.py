@@ -298,28 +298,34 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
                         state.backbone["final_norm_bias"])
 
 
-def embed(state: ModelState, images_u8: np.ndarray,
-          flip: bool = False) -> np.ndarray:
-    """Eval-mode features of uint8 images, optionally mirrored.
-
-    Each EMBED_CHUNK-image chunk runs on the pool and writes its own rows;
-    no image's feature depends on the others, so neither does the result.
-    Workers have no open tape, so nothing is recorded even inside the
-    caller's `Tape`. A chunk's error is raised here.
+def embed_chunks(state: ModelState, images_u8: np.ndarray, rows: np.ndarray,
+                 flip: bool):
+    """Eval-mode features of `images_u8[rows]`, optionally mirrored, and an
+    iterator that yields, in chunk order, how many leading rows are filled.
+    EMBED_CHUNK-row chunks run on the pool and gather and write their own
+    rows; no image's feature depends on the others, so neither does the
+    result. Workers open no tape, so a caller's `Tape` records nothing. A
+    chunk's error is raised by the iterator.
     """
     if images_u8.dtype != np.uint8:
         raise TypeError(f"embed takes uint8 images, got {images_u8.dtype}")
-    feats = np.empty((len(images_u8), state.spec.embed_dim))
+    feats = np.empty((len(rows), state.spec.embed_dim))
 
-    def run_chunk(start: int) -> None:
-        chunk = images_u8[start:start + EMBED_CHUNK].astype(np.float64) / 255.0
+    def run_chunk(start: int) -> int:
+        chunk = images_u8[rows[start:start + EMBED_CHUNK]].astype(np.float64) / 255.0
         if flip:
             chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
         feats[start:start + len(chunk)] = forward_features(
             state, Tensor(chunk), mode="eval").data
+        return start + len(chunk)
 
-    for _ in _EMBED_POOL.map(run_chunk, range(0, len(images_u8), EMBED_CHUNK)):
-        pass
+    return feats, _EMBED_POOL.map(run_chunk, range(0, len(rows), EMBED_CHUNK))
+
+
+def embed(state: ModelState, images_u8: np.ndarray, flip: bool = False) -> np.ndarray:
+    """Eval-mode features of every image in `images_u8` (see `embed_chunks`)."""
+    feats, chunks = embed_chunks(state, images_u8, np.arange(len(images_u8)), flip)
+    list(chunks)                                  # wait for every chunk
     return feats
 
 

@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient oracle, GC switch."""
+"""Shared test utilities: finite-difference gradient oracle, GC switch,
+greedy herding oracle."""
 
 from __future__ import annotations
 
@@ -47,3 +48,19 @@ def rel_err(a: np.ndarray, b: np.ndarray) -> float:
                 float(np.abs(b).max(initial=0.0)))
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-3 * scale)
     return float(np.max(np.abs(a - b) / denom))
+
+
+def greedy_sq_oracle(features: np.ndarray, budget: int) -> list[int]:
+    """Naive greedy herding with `herding_select`'s per-candidate arithmetic.
+
+    Candidates that tie in exact arithmetic then tie bit for bit in both,
+    so the lowest index must win in both.
+    """
+    mu, running = features.mean(axis=0), np.zeros(features.shape[1])
+    rest, chosen = list(range(len(features))), []
+    for k in range(1, min(budget, len(features)) + 1):
+        d2 = [np.sum(((running + features[i]) / k - mu) ** 2) for i in rest]
+        best = min(range(len(rest)), key=lambda j: (d2[j], j))
+        chosen.append(rest.pop(best))
+        running += features[chosen[-1]]
+    return chosen

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import gc_disabled
+from helpers import gc_disabled, greedy_sq_oracle
 
+from tinycil import model as M
 from tinycil import tensor as T
 from tinycil.augment import AugmentConfig, augment_batch
-from tinycil.data import ProtocolConfig, generate_synthetic
+from tinycil.data import LabeledDataset, ProtocolConfig, generate_synthetic
 from tinycil.engine import (StepContext, TrainSettings, _lr_schedule,
                             adaptive_lambda, construct_exemplars, cross_entropy,
                             distill_loss, margin_ranking_loss,
@@ -25,7 +32,9 @@ from tinycil.model import (ModelSpec, clone_state, expand_classifier,
                            forward_features, init_model, state_hash)
 from tinycil.optim import AdamW, ParamGroup, scaled_base_lr
 from tinycil.rng import SplitMix64
-from tinycil.tensor import Tensor
+from tinycil.tensor import NORM_EPS, Tensor
+
+ROOT = Path(__file__).resolve().parents[1]
 
 TINY_SPEC = ModelSpec(image_size=8, in_channels=3, stem_kind="patchify",
                       patch_size=4, embed_dim=16, num_blocks=1, num_heads=2,
@@ -518,3 +527,125 @@ def test_context_rejects_overlapping_classes():
                     new_images=ctx.new_images, new_labels=ctx.new_labels,
                     label_map=ctx.label_map, settings=ctx.settings,
                     epochs_stage1=1, stream=SplitMix64(0))
+
+
+# --- herding: one pooled pass over every requested class ---------------------
+
+# training images per class, in the order the tests request the classes: the
+# cumulative ends 1, 129, 256, 656, 704 and 833 fall inside, just past and on
+# the 128-row chunk boundaries
+HERD_SIZES = {0: 1, 3: 128, 2: 127, 5: 400, 1: 48, 4: 129}
+HERD_BUDGET = 20
+
+
+def _herding_dataset():
+    """Random images whose classes interleave, plus three test rows each."""
+    rng = np.random.default_rng(21)
+    sizes = [HERD_SIZES[c] for c in range(len(HERD_SIZES))]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), np.add(sizes, 3)))
+    train = np.sort(np.concatenate([np.flatnonzero(labels == c)[:n]
+                                    for c, n in enumerate(sizes)]))
+    return LabeledDataset(
+        images=rng.integers(0, 256, (len(labels), 3, 8, 8), dtype=np.uint8),
+        labels=labels, train_indices=train,
+        test_indices=np.setdiff1d(np.arange(len(labels)), train),
+        num_classes=len(sizes))
+
+
+def _herding_state(spec):
+    state = init_model(replace(spec, num_classes=len(HERD_SIZES)), SplitMix64(22))
+    rng = np.random.default_rng(23)
+    for name, buf in state.buffers.items():       # running stats off 0 and 1
+        buf[:] = rng.uniform(0.5, 1.5, buf.shape) if "var" in name else \
+            rng.normal(0, 0.1, buf.shape)
+    return state
+
+
+def _herd_class_alone(state, ds, cid, budget):
+    """One forward of the class's images on this thread, then greedy herding."""
+    idx = ds.class_indices("train", cid)
+    f = forward_features(state, Tensor(ds.images[idx].astype(np.float64) / 255.0),
+                         "eval").data
+    f = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), NORM_EPS)
+    return ds.images[idx[greedy_sq_oracle(f, budget)]]
+
+
+@pytest.mark.parametrize("spec", [TINY_SPEC, CONV_SPEC], ids=["patchify", "conv"])
+def test_construct_exemplars_is_bitwise_per_class_herding(spec, monkeypatch):
+    ds, state = _herding_dataset(), _herding_state(spec)
+    expected = {c: _herd_class_alone(state, ds, c, HERD_BUDGET) for c in HERD_SIZES}
+    assert [len(v) for v in expected.values()] == [min(n, HERD_BUDGET)
+                                                   for n in HERD_SIZES.values()]
+    interval = sys.getswitchinterval()
+    # one worker, and more workers than cores switching as often as they can
+    for workers in (1, 4):
+        with ThreadPoolExecutor(workers) as pool, monkeypatch.context() as m:
+            m.setattr(M, "_EMBED_POOL", pool)
+            sys.setswitchinterval(1e-6)
+            try:
+                got = construct_exemplars(state, ds, list(HERD_SIZES), HERD_BUDGET)
+            finally:
+                sys.setswitchinterval(interval)
+        assert list(got) == list(HERD_SIZES), workers
+        for c in HERD_SIZES:
+            assert got[c].dtype == np.uint8 and np.array_equal(got[c], expected[c]), \
+                (workers, c)
+
+
+def test_construct_exemplars_chunks_run_across_classes(monkeypatch):
+    seen = []
+    forward = M.forward_features
+
+    def spy(st, images, mode="eval"):
+        seen.append(images.shape[0])
+        return forward(st, images, mode)
+
+    monkeypatch.setattr(M, "forward_features", spy)
+    construct_exemplars(_herding_state(TINY_SPEC), _herding_dataset(),
+                        list(HERD_SIZES), HERD_BUDGET)
+    total = sum(HERD_SIZES.values())
+    # chunks finish in any order; all but the pass's last are full
+    assert sorted(seen, reverse=True) == \
+        [M.EMBED_CHUNK] * (total // M.EMBED_CHUNK) + [total % M.EMBED_CHUNK]
+
+
+def test_construct_exemplars_raises_a_chunk_error_and_keeps_working(monkeypatch):
+    ds, state = _herding_dataset(), _herding_state(CONV_SPEC)
+    forward = M.forward_features
+
+    def fail_short_chunk(st, images, mode="eval"):
+        if images.shape[0] < M.EMBED_CHUNK:
+            raise RuntimeError("chunk failed")
+        return forward(st, images, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(M, "forward_features", fail_short_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            construct_exemplars(state, ds, list(HERD_SIZES), HERD_BUDGET)
+    got = construct_exemplars(state, ds, [5, 0], HERD_BUDGET)
+    for c in (5, 0):
+        assert np.array_equal(got[c], _herd_class_alone(state, ds, c, HERD_BUDGET))
+
+
+def test_construct_exemplars_of_no_class_is_empty():
+    assert construct_exemplars(_herding_state(TINY_SPEC), _herding_dataset(),
+                               [], HERD_BUDGET) == {}
+
+
+# the SHA-256 of the exemplar store that `configs/example.ini` writes, recorded
+# before herding became one pooled pass; a herding change that moves a single
+# pick changes it. Float bits can depend on the BLAS thread count, so the CLI
+# runs in a subprocess with that count pinned.
+EXAMPLE_STORE_SHA256 = "bf8f9ff846685b3a3b83e072eeae63c6cb42d9b9ffc7ae56b27895d20c38df1a"
+
+
+def test_example_config_writes_the_recorded_exemplar_store(tmp_path):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-m", "tinycil", "run", "--config",
+         str(ROOT / "configs" / "example.ini"), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    store = (tmp_path / "run" / "exemplars.cilx").read_bytes()
+    assert hashlib.sha256(store).hexdigest() == EXAMPLE_STORE_SHA256

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import greedy_sq_oracle
 
 from tinycil.errors import ConfigError
 from tinycil.memory import (ExemplarStore, PerClass, Total, herding_select,
@@ -78,6 +82,25 @@ def test_herding_prefix_stability():
 def test_herding_deterministic_with_ties():
     f = np.tile(np.array([[1.0, 0.0]]), (4, 1))   # identical features
     assert herding_select(f, 4) == [0, 1, 2, 3]   # lowest index wins ties
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_herding_property_with_duplicated_rows(data):
+    """Few distinct rows, each repeated (forced ties); budgets 1 to n + 2."""
+    d = data.draw(st.integers(1, 4), label="d")
+    distinct = np.array(data.draw(st.lists(
+        st.lists(st.floats(-2, 2, width=16), min_size=d, max_size=d),
+        min_size=1, max_size=5), label="distinct"))
+    rows = data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1,
+                              max_size=12), label="rows")
+    f = distinct[rows]
+    full = herding_select(f, len(f) + 2)
+    assert sorted(full) == list(range(len(f)))
+    for budget in range(1, len(f) + 3):
+        picks = herding_select(f, budget)
+        assert picks == greedy_sq_oracle(f, budget), budget
+        assert picks == full[:budget], budget
 
 
 def test_herding_rejects_empty():
