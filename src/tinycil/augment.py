@@ -34,10 +34,6 @@ class AugmentConfig:
         if not 0 <= self.label_smoothing <= 1:
             raise ConfigError("label_smoothing must lie in [0, 1]")
 
-    @property
-    def uses_mixing(self) -> bool:
-        return self.mixup or self.cutmix
-
 
 @dataclass
 class SoftBatch:
@@ -130,7 +126,7 @@ def augment_batch(images: np.ndarray, labels: np.ndarray, num_classes: int,
         images = hflip(images, flipped)
     targets = one_hot(labels, num_classes, smoothing=cfg.label_smoothing)
     batch = SoftBatch(images, targets, flipped)
-    if not cfg.uses_mixing or b < 2:
+    if not (cfg.mixup or cfg.cutmix) or b < 2:
         return batch
     if stream.uniform() >= MIX_PROB:
         return batch

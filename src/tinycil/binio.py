@@ -1,9 +1,11 @@
 """The one bounds-checked reader behind the CILD, CILX and CILM formats,
 and the one atomic writer behind every run artifact.
 
-Each read is checked, in Python ints, against the bytes left before anything
-is allocated, and a file must be consumed exactly. CILD and CILX share the
-image record `(label <u2, pixels u1[c*h*w])`, defined once in `record_dtype`.
+Every binary file starts with its format's 4-byte magic and a u16 version:
+`write_file` writes them and `Reader` checks both. Each read is checked, in
+Python ints, against the bytes left before anything is allocated, and a file
+must be consumed exactly. CILD and CILX share the image record
+`(label <u2, pixels u1[c*h*w])`, defined once in `record_dtype`.
 """
 
 from __future__ import annotations
@@ -52,16 +54,26 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-class Reader:
-    """Cursor over a whole file; `kind` names the format in error messages."""
+def write_file(path, magic: bytes, version: int, chunks) -> None:
+    """Write the magic, the u16 version and the body `chunks` atomically."""
+    with atomic_open(path, "wb") as f:
+        f.write(b"".join([magic, struct.pack("<H", version), *chunks]))
 
-    def __init__(self, path, magic: bytes, kind: str):
+
+class Reader:
+    """Cursor over a whole file after its magic and version; `kind` names the
+    format in error messages."""
+
+    def __init__(self, path, magic: bytes, version: int, kind: str):
         with open(path, "rb") as f:
             self.blob = f.read()
         self.kind = kind
         if self.blob[:len(magic)] != magic:
             raise DataFormatError(f"bad magic in {path}: not a {kind}")
         self.off = len(magic)
+        (got,) = self.unpack("<H")
+        if got != version:
+            raise DataFormatError(f"unsupported {kind} version {got}")
 
     def _advance(self, size: int, where: str) -> int:
         left = len(self.blob) - self.off

@@ -9,8 +9,6 @@ self-contained SVG polyline plots so the CSV stays the authoritative output.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -28,7 +26,7 @@ from .engine import check_protocol_fits_data, run_protocol
 from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .memory import save_store
 from .metrics import (average_incremental_accuracy, read_summary_csv,
-                      write_reports_jsonl, write_summary_csv)
+                      write_csv, write_reports_jsonl, write_summary_csv)
 from .model import save_checkpoint
 
 OUT_ROOT_ENV = "TINYCIL_OUT_ROOT"
@@ -93,13 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _write_text(path, text: str) -> None:
     with atomic_open(path) as f:
         f.write(text)
-
-
-def _write_csv(path, rows) -> None:
-    """Rows as CSV; a cell holding a comma or a quote is quoted."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    _write_text(path, buf.getvalue())
 
 
 def _default_out_dir(config_path: str, seed: int) -> Path:
@@ -221,7 +212,7 @@ def cmd_compare(args) -> int:
         for run in runs:
             cells.append(repr(run["rows"][i]["top1"]) if i < len(run["rows"]) else "")
         rows.append(cells)
-    _write_csv(out_dir / "compare.csv", rows)
+    write_csv(out_dir / "compare.csv", rows)
 
     avg_rows = [["run", "avg_inc_acc", "avg_inc_acc_excl_initial"]]
     series = []
@@ -233,7 +224,7 @@ def cmd_compare(args) -> int:
         avg_rows.append([run["name"], repr(avg), repr(avg_excl)])
         series.append((f"{run['name']} [{100 * avg:.2f}]",
                        [r["n_classes"] for r in run["rows"]], accs))
-    _write_csv(out_dir / "compare_averages.csv", avg_rows)
+    write_csv(out_dir / "compare_averages.csv", avg_rows)
     write_line_chart_svg(out_dir / "compare.svg", series)
     print(f"compared {len(runs)} runs -> {out_dir}")
     return 0
@@ -280,7 +271,7 @@ def cmd_ablate(args) -> int:
         grid.append([arm_name, repr(avg), repr(reports[-1].top1),
                      repr(reports[-1].eta)])
         run_dirs.append(str(arm_dir))
-    _write_csv(out_dir / "ablation.csv", grid)
+    write_csv(out_dir / "ablation.csv", grid)
     cmd_compare(argparse.Namespace(run_dirs=run_dirs, out=str(out_dir)))
     print(f"ablation grid -> {out_dir / 'ablation.csv'}")
     return 0
@@ -295,8 +286,7 @@ def cmd_gen_data(args) -> int:
         per_class_test=args.per_class_test, image_size=args.image_size,
         channels=args.channels, difficulty=args.difficulty, seed=args.seed)
     out = Path(args.out)
-    if out.parent and not out.parent.exists():
-        out.parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)
     print(f"wrote {len(ds.labels)} images, {ds.num_classes} classes -> {out}")
     return 0

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Reader, atomic_open, pack_records
+from .binio import Reader, pack_records, write_file
 from .errors import ConfigError, DataFormatError
 from .memory import BudgetPolicy, per_class_budget
 from .rng import SplitMix64
@@ -99,14 +99,10 @@ class LabeledDataset:
     train_indices: np.ndarray
     test_indices: np.ndarray
     num_classes: int
-    _by_class: dict = field(default_factory=dict, repr=False)
 
     def class_indices(self, split: str, class_id: int) -> np.ndarray:
-        key = (split, class_id)
-        if key not in self._by_class:
-            pool = self.train_indices if split == "train" else self.test_indices
-            self._by_class[key] = pool[self.labels[pool] == class_id]
-        return self._by_class[key]
+        pool = self.train_indices if split == "train" else self.test_indices
+        return pool[self.labels[pool] == class_id]
 
     def subset(self, split: str, class_ids) -> tuple[np.ndarray, np.ndarray]:
         """Images and labels of the given classes in one split."""
@@ -163,21 +159,16 @@ def generate_synthetic(num_classes: int, per_class_train: int,
 
 def save_dataset(ds: LabeledDataset, path) -> None:
     n, c, h, w = ds.images.shape
-    chunks = [DATASET_MAGIC, struct.pack("<H", DATASET_VERSION),
-              struct.pack("<IHHHH", n, h, w, c, ds.num_classes),
+    chunks = [struct.pack("<IHHHH", n, h, w, c, ds.num_classes),
               pack_records(ds.labels, ds.images)]
     for idx in (ds.train_indices, ds.test_indices):
         chunks.append(struct.pack("<I", len(idx)))
         chunks.append(idx.astype("<u4").tobytes())
-    with atomic_open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    write_file(path, DATASET_MAGIC, DATASET_VERSION, chunks)
 
 
 def load_dataset(path) -> LabeledDataset:
-    r = Reader(path, DATASET_MAGIC, "dataset")
-    (version,) = r.unpack("<H")
-    if version != DATASET_VERSION:
-        raise DataFormatError(f"unsupported dataset version {version}")
+    r = Reader(path, DATASET_MAGIC, DATASET_VERSION, "dataset")
     n, h, w, c, num_classes = r.unpack("<IHHHH")
     labels, images = r.records(n, (c, h, w), lambda y: y < num_classes)
     splits = []

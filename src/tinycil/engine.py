@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -27,7 +26,7 @@ from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
                     expand_classifier, forward_features, init_model)
 from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
-from .tensor import NORM_EPS, Tensor
+from .tensor import Tensor
 
 LOG_EPS = 1e-12
 # fixed values of the recipe: the LR floor of the cosine schedule (DeiT), the
@@ -56,9 +55,6 @@ class TrainSettings:
     augment: AugmentConfig = field(default_factory=AugmentConfig)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         if self.margin_ranking and (self.augment.mixup or self.augment.cutmix):
             raise ConfigError(
                 "augment.margin_ranking conflicts with augment.mixup / "
@@ -126,11 +122,6 @@ def distill_loss(f_old: Tensor, f_new: Tensor) -> Tensor:
 
     Gradient reaches f_new only; pass the old features as a constant tensor.
     """
-    for name, t in (("old", f_old), ("new", f_new)):
-        zero = int((np.linalg.norm(t.data, axis=-1) < NORM_EPS).sum())
-        if zero:
-            warnings.warn(f"distill_loss: {zero} zero-norm {name} feature row(s)",
-                          RuntimeWarning)
     cos = T.sum_(T.mul(T.l2_normalize(f_old, axis=-1),
                        T.l2_normalize(f_new, axis=-1)), axis=1)
     return T.mean(1.0 - cos)
@@ -388,8 +379,7 @@ def construct_exemplars(state: ModelState, dataset: LabeledDataset,
         end += len(rows)
         while done < end:
             done = next(chunks)
-        f = feats[end - len(rows):end]
-        f = f / np.maximum(np.linalg.norm(f, axis=1, keepdims=True), NORM_EPS)
+        f = T.l2_normalize(feats[end - len(rows):end]).data
         out[int(cid)] = dataset.images[rows[herding_select(f, budget)]]
     return out
 

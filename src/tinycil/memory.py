@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binio import Reader, atomic_open, pack_records
+from .binio import Reader, pack_records, write_file
 from .errors import ConfigError, DataFormatError
 
 STORE_MAGIC = b"CILX"
@@ -123,23 +123,18 @@ def save_store(store: ExemplarStore, path) -> None:
     policy_kind, amount = ((0, store.policy.per_class)
                            if isinstance(store.policy, PerClass)
                            else (1, store.policy.total))
-    chunks = [STORE_MAGIC, struct.pack("<H", STORE_VERSION),
-              struct.pack("<BI", policy_kind, amount),
+    chunks = [struct.pack("<BI", policy_kind, amount),
               struct.pack("<HHH", h, w, c),
               struct.pack("<I", len(ids))]
     for cid in ids:
         imgs = store.images(cid)
         chunks.append(struct.pack("<HI", cid, len(imgs)))
         chunks.append(pack_records(np.full(len(imgs), cid), imgs))
-    with atomic_open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    write_file(path, STORE_MAGIC, STORE_VERSION, chunks)
 
 
 def load_store(path) -> ExemplarStore:
-    r = Reader(path, STORE_MAGIC, "store file")
-    (version,) = r.unpack("<H")
-    if version != STORE_VERSION:
-        raise DataFormatError(f"unsupported store version {version}")
+    r = Reader(path, STORE_MAGIC, STORE_VERSION, "store file")
     policy_kind, amount = r.unpack("<BI")
     if policy_kind not in (0, 1):
         raise DataFormatError(f"unknown budget policy kind {policy_kind}")

@@ -9,6 +9,8 @@ JSON-lines plus a summary CSV whose bytes are reproducible from the seeds.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field, fields
 
@@ -122,18 +124,24 @@ def read_reports_jsonl(path) -> list[StepReport]:
     return out
 
 
+def write_csv(path, rows) -> None:
+    """Rows as CSV; a cell holding a comma or a quote is quoted."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    with atomic_open(path) as f:
+        f.write(buf.getvalue())
+
+
 def write_summary_csv(reports: list[StepReport], path) -> None:
     """One row per step; the running average includes the initial step."""
-    lines = [",".join(SUMMARY_COLUMNS)]
+    rows = [SUMMARY_COLUMNS]
     accs: list[float] = []
     for r in reports:
         accs.append(r.top1)
         avg = average_incremental_accuracy(accs)
-        lines.append(",".join([
-            str(r.step), str(r.n_classes), _fmt(r.top1), _fmt(r.bias_rate),
-            _fmt(r.eta), _fmt(avg)]))
-    with atomic_open(path) as f:
-        f.write("\n".join(lines) + "\n")
+        rows.append([r.step, r.n_classes, _fmt(r.top1), _fmt(r.bias_rate),
+                     _fmt(r.eta), _fmt(avg)])
+    write_csv(path, rows)
 
 
 def read_summary_csv(path) -> list[dict]:

@@ -16,7 +16,6 @@ import hashlib
 import math
 import os
 import struct
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -24,10 +23,10 @@ import numpy as np
 
 from . import tensor as T
 from .augment import hflip
-from .binio import Reader, atomic_open
+from .binio import Reader, write_file
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
-from .tensor import NORM_EPS, Tensor
+from .tensor import Tensor
 
 TEMPERATURE_FLOOR = 1e-3
 INIT_STD = 0.02
@@ -46,7 +45,7 @@ _KIND_BACKBONE, _KIND_CLASSIFIER, _KIND_BUFFER = 0, 1, 2
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture hyperparameters; `validate` enforces the token arithmetic."""
+    """Architecture hyperparameters; construction enforces the token arithmetic."""
 
     image_size: int = 16
     in_channels: int = 3
@@ -61,9 +60,6 @@ class ModelSpec:
     num_classes: int = 10
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self) -> None:
         for name in ("image_size", "in_channels", "patch_size", "stem_depth",
                      "embed_dim", "num_heads"):
             if getattr(self, name) < 1:
@@ -96,8 +92,6 @@ class ModelSpec:
             if self.image_size % (2 ** self.stem_depth) != 0:
                 raise ConfigError(
                     f"image_size {self.image_size} too small for {self.stem_depth} stride-2 layers")
-            if self.image_size // (2 ** self.stem_depth) < 1:
-                raise ConfigError("conv stem collapses the image to zero tokens")
 
     @property
     def mlp_hidden(self) -> int:
@@ -338,10 +332,6 @@ def cosine_scores(state: ModelState, features: Tensor) -> Tensor:
 
 def cosine_logits(state: ModelState, features: Tensor) -> Tensor:
     """Class probabilities: softmax over temperature-scaled cosine scores."""
-    zero_rows = int((np.linalg.norm(features.data, axis=-1) < NORM_EPS).sum())
-    if zero_rows:
-        warnings.warn(f"cosine_logits: {zero_rows} zero-norm feature row(s), "
-                      "eps-guarded", RuntimeWarning)
     scaled = cosine_scores(state, features) * state.classifier["temperature"]
     return T.softmax(scaled, axis=-1)
 
@@ -401,9 +391,8 @@ def parameter_count(state: ModelState) -> dict[str, int]:
 
 def save_checkpoint(state: ModelState, path) -> None:
     spec = state.spec
-    chunks = [CHECKPOINT_MAGIC, struct.pack("<H", CHECKPOINT_VERSION)]
-    chunks.append(struct.pack("<IIB", spec.image_size, spec.in_channels,
-                              0 if spec.stem_kind == "patchify" else 1))
+    chunks = [struct.pack("<IIB", spec.image_size, spec.in_channels,
+                          0 if spec.stem_kind == "patchify" else 1)]
     chunks.append(struct.pack("<II", spec.patch_size, spec.stem_depth))
     n_ch = len(spec.stem_channels)
     chunks.append(struct.pack(f"<I{n_ch}I", n_ch, *spec.stem_channels))
@@ -417,15 +406,11 @@ def save_checkpoint(state: ModelState, path) -> None:
         chunks += [struct.pack("<BH", kind, len(raw)), raw,
                    struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
                    np.ascontiguousarray(arr, dtype="<f8").tobytes()]
-    with atomic_open(path, "wb") as f:
-        f.write(b"".join(chunks))
+    write_file(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, chunks)
 
 
 def load_checkpoint(path) -> ModelState:
-    r = Reader(path, CHECKPOINT_MAGIC, "checkpoint")
-    (version,) = r.unpack("<H")
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"unsupported checkpoint version {version}")
+    r = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     image_size, in_channels, stem_code = r.unpack("<IIB")
     if stem_code not in (0, 1):
         raise DataFormatError(f"unknown stem code {stem_code}")

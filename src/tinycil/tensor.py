@@ -35,6 +35,7 @@ from __future__ import annotations
 import ctypes
 import math
 import threading
+import warnings
 
 import numpy as np
 from scipy.special import erf
@@ -120,8 +121,6 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         return sub(self, other)
 
@@ -136,31 +135,11 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return index(self, key)
 
     def sum(self, axis=None, keepdims: bool = False):
         return sum_(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
 
 
 class _Node:
@@ -551,9 +530,14 @@ def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
 
 
 def l2_normalize(a, axis: int = -1) -> Tensor:
-    """Scale rows to unit L2 norm; a norm below NORM_EPS divides by NORM_EPS."""
+    """Scale rows to unit L2 norm; a norm below NORM_EPS divides by NORM_EPS,
+    with one RuntimeWarning that counts those rows."""
     a = _coerce(a)
     norm = np.sqrt((a.data * a.data).sum(axis=axis, keepdims=True))
+    zero = int((norm < NORM_EPS).sum())
+    if zero:
+        warnings.warn(f"l2_normalize: {zero} zero-norm row(s), eps-guarded",
+                      RuntimeWarning, stacklevel=2)
     scale = np.maximum(norm, NORM_EPS)
     y = a.data / scale
     out = Tensor(y)

@@ -51,11 +51,14 @@ def test_mixup_pixel_identity():
     np.testing.assert_allclose(out.images, 0.3 * images + 0.7 * images[perm])
 
 
-def test_mixup_batch_of_one_passes_through():
+@pytest.mark.parametrize("mix", [mixup, cutmix], ids=["mixup", "cutmix"])
+def test_mix_batch_of_one_passes_through(mix):
     images, labels = _batch(b=1)
     batch = SoftBatch(images, one_hot(labels, 10))
-    out = mixup(batch, 0.4, SplitMix64(5))
+    out = mix(batch, 0.4, SplitMix64(5))
     np.testing.assert_array_equal(out.images, images)
+    np.testing.assert_array_equal(out.targets, batch.targets)
+    assert not out.mixed
 
 
 # --- cutmix --------------------------------------------------------------------

@@ -261,6 +261,14 @@ def test_missing_data_file_exit_2(tmp_path, capsys):
     ("data", "classes", "70000", "data.classes"),
     ("data", "image_size", "65536", "data.image_size"),
     ("data", "channels", "70000", "data.channels"),
+    ("train", "batch_size", "abc", "train.batch_size"),
+    ("protocol", "budget", "total", "protocol.budget"),
+    ("protocol", "budget", "ring:5", "protocol.budget"),
+    ("protocol", "epoch_preset", "fast", "protocol.epoch_preset"),
+    ("protocol", "epoch_preset", "cold_start", "protocol.epoch_preset"),
+    ("data", "source", "web", "data.source"),
+    ("data", "source", "file", "data.path"),
+    ("model", "stem", "resnet", "model.stem"),
 ])
 def test_out_of_range_values_rejected(section, key, value, match):
     raw = {"protocol": {"total_classes": "10", "initial_classes": "5",

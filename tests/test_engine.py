@@ -104,6 +104,15 @@ def test_distill_antiparallel_two():
     assert distill_loss(Tensor(a), Tensor(-a)).item() == pytest.approx(2.0)
 
 
+def test_distill_zero_old_row_warns_and_stays_finite():
+    f_old = np.random.default_rng(2).normal(size=(3, 6))
+    f_old[1] = 0.0
+    f_new = Tensor(np.random.default_rng(3).normal(size=(3, 6)))
+    with pytest.warns(RuntimeWarning, match="1 zero-norm row"):
+        loss = distill_loss(Tensor(f_old), f_new)
+    assert math.isfinite(loss.item())
+
+
 def test_distill_gradient_only_into_new():
     rng = np.random.default_rng(1)
     f_old = Tensor(rng.normal(size=(3, 6)))
@@ -637,6 +646,15 @@ def test_construct_exemplars_of_no_class_is_empty():
 # pick changes it. Float bits can depend on the BLAS thread count, so the CLI
 # runs in a subprocess with that count pinned.
 EXAMPLE_STORE_SHA256 = "bf8f9ff846685b3a3b83e072eeae63c6cb42d9b9ffc7ae56b27895d20c38df1a"
+# the same run's summary and checkpoints: a byte moved by the binary framing,
+# the CSV writer or the training that feeds them fails here
+EXAMPLE_ARTIFACT_SHA256 = {
+    "summary.csv": "ec889d20b87d158083bb2daf8b522b21c0dbffd0642db0e158a68275af53103d",
+    "checkpoints/step_01.cilm":
+        "913875e7b01dc051d78aa7b4dd32644a00fdbd88b0fbd4c4f7a3207b43ef25a9",
+    "checkpoints/step_02.cilm":
+        "8892e511f2c42798e712fa341a950a7c40599ddb9fd2b3409f72f1d8f78f1cd6",
+}
 
 
 def test_example_config_writes_the_recorded_exemplar_store(tmp_path):
@@ -649,3 +667,6 @@ def test_example_config_writes_the_recorded_exemplar_store(tmp_path):
     assert done.returncode == 0, done.stderr
     store = (tmp_path / "run" / "exemplars.cilx").read_bytes()
     assert hashlib.sha256(store).hexdigest() == EXAMPLE_STORE_SHA256
+    for name, digest in EXAMPLE_ARTIFACT_SHA256.items():
+        data = (tmp_path / "run" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name
