@@ -32,8 +32,8 @@ TEMPERATURE_FLOOR = 1e-3
 INIT_STD = 0.02
 EMBED_CHUNK = 128          # images per untaped eval-mode forward
 # `embed`'s chunks run here, one worker per core this process may use (the
-# CPU count where the OS has no affinity call). numpy's GEMMs and ufuncs and
-# scipy's erf release the GIL, so the chunks really run at once.
+# CPU count where the OS has no affinity call). numpy's GEMMs and ufuncs, GELU's
+# erf included, release the GIL, so the chunks really run at once.
 _EMBED_POOL = ThreadPoolExecutor(
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     else os.cpu_count() or 1, thread_name_prefix="tinycil-embed")

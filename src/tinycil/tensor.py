@@ -22,12 +22,11 @@ The tape stack is thread-local: a `Tape` opened in one thread is never the
 active tape of another, so ops that `model.embed` runs on its worker
 threads record nothing and cannot race on the caller's tape.
 
-Importing this module raises glibc's heap top pad (see `_M_TOP_PAD`).
-Without it, the heap top that one batch frees is trimmed back to the kernel
-and the next batch's forward faults the same pages in again. It also limits
-glibc to one malloc arena (`_M_ARENA_MAX`), so `embed`'s worker threads
-allocate from the main heap that the pad keeps warm, not each from an arena
-of its own that grows the peak resident set.
+Importing this module sets glibc's heap top pad and mmap threshold, so the
+heap top that one batch frees serves the next batch instead of being
+trimmed and faulted in again, and one malloc arena, so that `embed`'s
+workers share that heap (see `_M_TOP_PAD`). It also pins numpy's BLAS to one
+thread. numpy is the only dependency: `_erf` is scipy's erf, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ import threading
 import warnings
 
 import numpy as np
-from scipy.special import erf
+from numpy.linalg import _umath_linalg
 
 from .errors import ShapeError, TapeError
 
@@ -60,16 +59,25 @@ NORM_EPS = 1e-12        # l2_normalize's floor on a row's norm
 
 # mallopt(M_TOP_PAD): bytes glibc keeps above the heap top when it trims, and
 # asks for in addition when it grows the heap. 256 MiB holds the freed tape
-# of a batch for the next one, and leaves room at the top for arrays above
-# the mmap threshold, which would otherwise be mapped and unmapped one by
-# one. Setting M_TRIM_THRESHOLD alone pins that threshold at 128 KiB and
-# faults far more; M_MMAP_THRESHOLD alone still trims. Pages of the pad that
-# are never touched take no memory.
+# of a batch for the next one. Setting M_TRIM_THRESHOLD instead faults far
+# more; M_MMAP_THRESHOLD alone still trims. Pages of the pad that are never
+# touched take no memory.
 _M_TOP_PAD = -2
 _TOP_PAD_BYTES = 256 << 20
+# mallopt(M_MMAP_THRESHOLD): blocks this large or larger are mapped, faulted
+# in and unmapped one by one. Any mallopt call freezes glibc's sliding
+# threshold, at 128 KiB in a process that has freed no larger mapping yet;
+# 32 MiB (glibc's maximum) keeps every activation array on the heap.
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
 # mallopt(M_ARENA_MAX): with 1, threads share the main heap instead of each
 # getting an arena of its own, whose pages the top pad does not keep.
 _M_ARENA_MAX = -8
+# A threaded GEMM's sum order, so the low bits of trained weights, depends on
+# OPENBLAS_NUM_THREADS. The OpenBLAS thread setter of numpy's 2.x and 1.x
+# wheels, and of a system OpenBLAS:
+_BLAS_THREAD_SETTERS = ("scipy_openblas_set_num_threads64_",
+                        "openblas_set_num_threads64_", "openblas_set_num_threads")
 
 
 def _keep_freed_heap_top() -> None:
@@ -80,10 +88,22 @@ def _keep_freed_heap_top() -> None:
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_TOP_PAD, _TOP_PAD_BYTES)
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
     mallopt(_M_ARENA_MAX, 1)
 
 
+def _pin_blas_to_one_thread() -> None:
+    blas = ctypes.CDLL(_umath_linalg.__file__)    # dlsym searches what it links
+    for name in _BLAS_THREAD_SETTERS:   # none found: not OpenBLAS, left as is
+        if hasattr(blas, name):
+            setter = getattr(blas, name)
+            setter.argtypes, setter.restype = (ctypes.c_int,), None
+            setter(1)
+            return
+
+
 _keep_freed_heap_top()
+_pin_blas_to_one_thread()
 
 
 class Tensor:
@@ -297,10 +317,80 @@ def relu(a) -> Tensor:
     return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
 
 
+# Cephes' erf and erfc (ndtr.c), which scipy.special.erf runs: x T(x^2)/U(x^2)
+# for |x| <= 1; beyond, 1 - erfc(|x|) with x's sign, where erfc is
+# exp(-x^2) P(x)/Q(x) below 8, exp(-x^2) R(x)/S(x) from 8, and 0 once
+# -x^2 < -MAXLOG. The leading 1.0 of U, Q and S makes `_polevl` Cephes' p1evl.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1,
+          2.23200534594684319226E3, 7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2,
+          4.59432382970980127987E3, 2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+_ERFC_R = (5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+           6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0)
+_ERFC_S = (1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+           1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0)
+_MAXLOG = 7.09782712893383996843E2
+# Elements per pass of `_erf`: its three work arrays (512 KiB each) stay in
+# L2. Smaller blocks run faster on one thread but, with a GIL handover per
+# ufunc call, do not scale on `embed`'s workers.
+_ERF_BLOCK = 1 << 16
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule with one rounding per * and per +, as the C code does."""
+    out = x * coef[0]
+    for c in coef[1:-1]:
+        out += c
+        out *= x
+    out += coef[-1]
+    return out
+
+
+def _erf_outside_unit(x: np.ndarray) -> np.ndarray:
+    """`_erf` where |x| > 1 or x is NaN. The exp is the C library's, as in
+    scipy: numpy's SIMD exp differs from it in the last bit."""
+    a = np.abs(x)
+    z = -a * a
+    erfc = np.fromiter(map(math.exp, z.tolist()), np.float64, count=z.size)
+    near = a < 8.0
+    erfc *= np.where(near, _polevl(a, _ERFC_P), _polevl(a, _ERFC_R))
+    erfc /= np.where(near, _polevl(a, _ERFC_Q), _polevl(a, _ERFC_S))
+    erfc[z < -_MAXLOG] = 0.0
+    out = np.copysign(1.0 - erfc, x)
+    out[np.isnan(x)] = np.nan
+    return out
+
+
+def _erf(x: np.ndarray) -> np.ndarray:
+    """scipy.special.erf, bit for bit, written over `x` (contiguous float64)."""
+    flat = x.reshape(-1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, flat.size, _ERF_BLOCK):
+            xb = flat[start:start + _ERF_BLOCK]
+            z = xb * xb
+            inside = z <= 1.0              # |x| <= 1 exactly; NaN is outside
+            outside = None if inside.all() else np.flatnonzero(~inside)
+            if outside is not None:
+                rest = _erf_outside_unit(xb[outside])
+            np.multiply(xb, _polevl(z, _ERF_T), out=xb)
+            np.divide(xb, _polevl(z, _ERF_U), out=xb)
+            if outside is not None:
+                xb[outside] = rest
+    return x
+
+
 def gelu(a) -> Tensor:
     """Exact GELU: x * Phi(x)."""
     a = _coerce(a)
-    phi = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
+    phi = _erf(a.data * _INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
     out = Tensor(a.data * phi)
 
     def _bw(g):

@@ -1,12 +1,28 @@
 """Shared test utilities: finite-difference gradient oracle, GC switch,
-greedy herding oracle."""
+greedy herding oracle, fresh interpreters."""
 
 from __future__ import annotations
 
 import contextlib
 import gc
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh_python(*args: str, **env: str) -> str:
+    """Run `python *args` in a new interpreter that imports tinycil from this
+    checkout (with `env` added to the environment); returns its standard output."""
+    path = os.pathsep.join([str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path, **env), timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 @contextlib.contextmanager

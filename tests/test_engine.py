@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -15,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import gc_disabled, greedy_sq_oracle
+from helpers import gc_disabled, greedy_sq_oracle, run_fresh_python
 
 from tinycil import model as M
 from tinycil import tensor as T
@@ -643,8 +641,8 @@ def test_construct_exemplars_of_no_class_is_empty():
 
 # the SHA-256 of the exemplar store that `configs/example.ini` writes, recorded
 # before herding became one pooled pass; a herding change that moves a single
-# pick changes it. Float bits can depend on the BLAS thread count, so the CLI
-# runs in a subprocess with that count pinned.
+# pick changes it. A threaded GEMM's bits depend on its thread count, which
+# importing tinycil pins to one: the same bytes at any OPENBLAS_NUM_THREADS.
 EXAMPLE_STORE_SHA256 = "bf8f9ff846685b3a3b83e072eeae63c6cb42d9b9ffc7ae56b27895d20c38df1a"
 # the same run's summary and checkpoints: a byte moved by the binary framing,
 # the CSV writer or the training that feeds them fails here
@@ -657,14 +655,10 @@ EXAMPLE_ARTIFACT_SHA256 = {
 }
 
 
-def test_example_config_writes_the_recorded_exemplar_store(tmp_path):
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-m", "tinycil", "run", "--config",
-         str(ROOT / "configs" / "example.ini"), "--out", str(tmp_path / "run")],
-        capture_output=True, text=True, env=env, timeout=300)
-    assert done.returncode == 0, done.stderr
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_example_config_writes_the_recorded_exemplar_store(tmp_path, blas_threads):
+    run_fresh_python("-m", "tinycil", "run", "--config", str(ROOT / "configs" / "example.ini"),
+                     "--out", str(tmp_path / "run"), OPENBLAS_NUM_THREADS=blas_threads)
     store = (tmp_path / "run" / "exemplars.cilx").read_bytes()
     assert hashlib.sha256(store).hexdigest() == EXAMPLE_STORE_SHA256
     for name, digest in EXAMPLE_ARTIFACT_SHA256.items():

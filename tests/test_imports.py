@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import run_fresh_python
+
 ROOT = Path(__file__).resolve().parents[1]
 EXEMPT = {ROOT / "src" / "tinycil" / "__init__.py"}
 FILES = sorted(path for folder in ("src/tinycil", "tests", "demos")
@@ -43,3 +45,10 @@ def test_unused_imports_finds_what_is_never_read():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_file_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_tinycil_loads_no_scipy_module():
+    loaded = run_fresh_python(
+        "-c", "import sys\nimport tinycil.cli\n"
+        "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert loaded.split() == []

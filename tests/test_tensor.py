@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import math
+import platform
 import threading
 import weakref
 
 import numpy as np
 import pytest
 
-from helpers import fd_grad, gc_disabled, rel_err
+from helpers import fd_grad, gc_disabled, rel_err, run_fresh_python
 
 from tinycil import tensor as T
 from tinycil.errors import ShapeError, TapeError
@@ -532,6 +534,102 @@ def test_relu_gelu_grads_vs_fd():
     x[np.abs(x) < 0.1] += 0.2  # keep away from the relu kink
     _check_grads(lambda t: T.sum_(T.relu(t)), [x.copy()])
     _check_grads(lambda t: T.sum_(T.gelu(t)), [x.copy()], tol=1e-5)
+
+
+# Edge values of Cephes' erf: signed zeros, the |x| = 1 and x = 8 branch
+# points and their neighbours, the MAXLOG underflow edge, overflow in x*x,
+# infinities, NaN and subnormals.
+ERF_EDGES = np.array([
+    0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+    -np.nextafter(1.0, 2.0), 8.0, -8.0, np.nextafter(8.0, 0.0), np.nextafter(8.0, 9.0),
+    np.sqrt(T._MAXLOG), -np.sqrt(T._MAXLOG), np.nextafter(np.sqrt(T._MAXLOG), 0.0),
+    np.nextafter(np.sqrt(T._MAXLOG), 99.0), 26.0, 27.0, 1e10, 1e200, -1e308,
+    np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+    -1e-310, 1e-300, 0.5, -3.0])
+
+
+@pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 30.0])
+def test_erf_is_scipy_erf_bit_for_bit(scale):
+    special = pytest.importorskip("scipy.special")
+    x = np.concatenate([RNG(31).standard_normal(150_000) * scale, ERF_EDGES])
+    got = T._erf(x.copy())
+    want = special.erf(x)
+    # bit patterns, so the sign of zero and of NaN count too
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_erf_runs_in_blocks_and_writes_over_its_argument():
+    x = RNG(32).uniform(-3.0, 3.0, (3, T._ERF_BLOCK // 2 + 7))
+    want = np.array([math.erf(v) for v in x.ravel()]).reshape(x.shape)
+    got = T._erf(x)
+    assert got is x
+    np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+# In a fresh process: 20 GELU calls after warm-up reuse the heap's pages.
+# Without `_M_MMAP_THRESHOLD` each call can map, fault in and unmap its
+# activation-sized arrays, about 2,700 faults per call here.
+GELU_FAULTS_PROBE = """
+import resource
+import numpy as np
+from tinycil import tensor as T
+x = T.Tensor(np.random.default_rng(0).uniform(-1.0, 1.0, (128, 17, 128)))
+for _ in range(5):
+    T.gelu(x)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    T.gelu(x)
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 20)
+"""
+
+
+def test_gelu_reuses_heap_pages_after_warm_up():
+    assert float(run_fresh_python("-c", GELU_FAULTS_PROBE)) < 100
+
+
+# Whether the fault count above shows a missing threshold depends on the
+# interpreter's start-up allocations: `_M_TOP_PAD` freezes glibc's sliding
+# threshold wherever they left it, and a heap top that happens to be large
+# hides it. This probe does not depend on them. Twelve untouched 31 MiB
+# blocks outgrow the 256 MiB pad, so glibc must extend the heap or map a
+# block; a block above the program break was mapped.
+HEAP_BLOCKS_PROBE = """
+import ctypes
+import tinycil.tensor
+libc = ctypes.CDLL(None)
+libc.malloc.argtypes, libc.malloc.restype = (ctypes.c_size_t,), ctypes.c_void_p
+libc.free.argtypes, libc.free.restype = (ctypes.c_void_p,), None
+libc.sbrk.argtypes, libc.sbrk.restype = (ctypes.c_ssize_t,), ctypes.c_void_p
+blocks = [libc.malloc(31 << 20) for _ in range(12)]
+brk = libc.sbrk(0)
+print(sum(block > brk for block in blocks))
+for block in blocks:
+    libc.free(block)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt options are glibc's")
+def test_import_keeps_blocks_under_32_mib_on_the_heap():
+    assert run_fresh_python("-c", HEAP_BLOCKS_PROBE).strip() == "0"
+
+
+BLAS_THREADS_PROBE = """
+import ctypes
+from numpy.linalg import _umath_linalg
+import tinycil.tensor
+blas = ctypes.CDLL(_umath_linalg.__file__)
+getters = [getattr(blas, name.replace("_set_", "_get_"))
+           for name in tinycil.tensor._BLAS_THREAD_SETTERS
+           if hasattr(blas, name.replace("_set_", "_get_"))]
+print(getters[0]() if getters else "none")
+"""
+
+
+def test_import_pins_openblas_to_one_thread():
+    threads = run_fresh_python("-c", BLAS_THREADS_PROBE, OPENBLAS_NUM_THREADS="2").strip()
+    if threads == "none":
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert threads == "1"
 
 
 def test_reduction_grads_vs_fd():
