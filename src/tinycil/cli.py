@@ -1,9 +1,10 @@
 """Batch experiment runner: run / compare / ablate / gen-data subcommands.
 
-Every run writes a manifest with the fully resolved config, per-step model
-checkpoints, JSON-lines step reports, and a summary CSV. Rerunning from a
-manifest reproduces the summary CSV byte for byte. Charts are emitted as
-self-contained SVG polyline plots so the CSV stays the authoritative output.
+Every run writes a manifest with the fully resolved config, each step's model
+checkpoint and exemplar store, JSON-lines step reports, and a summary CSV.
+Rerunning from a manifest reproduces the summary CSV byte for byte. Charts are
+emitted as self-contained SVG polyline plots so the CSV stays the
+authoritative output.
 """
 
 from __future__ import annotations
@@ -131,18 +132,20 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
         "version": __version__,
         "started": datetime.now(timezone.utc).isoformat(),
         "outputs": {"reports": "steps.jsonl", "summary": "summary.csv",
-                    "checkpoints": "checkpoints", "exemplars": "exemplars.cilx"},
+                    "checkpoints": "checkpoints/step_XX.cilm",
+                    "exemplars": "exemplars_XX.cilx"},
     }
     _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
 
     reports = []
 
     def on_step(report, state, store):
+        # steps.jsonl goes last: its line for a step commits the step's files
         reports.append(report)
         save_checkpoint(state, ckpt_dir / f"step_{report.step:02d}.cilm")
-        save_store(store, out_dir / "exemplars.cilx")
-        write_reports_jsonl(reports, out_dir / "steps.jsonl")
+        save_store(store, out_dir / f"exemplars_{report.step:02d}.cilx")
         write_summary_csv(reports, out_dir / "summary.csv")
+        write_reports_jsonl(reports, out_dir / "steps.jsonl")
         if not quiet:
             print(f"step {report.step}: classes={report.n_classes} "
                   f"top1={report.top1:.4f} bias={report.bias_rate:.4f} "

@@ -249,16 +249,19 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
         epoch_losses = []
         for batch_no, idx in enumerate(_epoch_batches(n, ctx.settings.batch_size,
                                                       order_stream)):
-            with T.Tape() as tape:
-                loss = batch_loss(idx)
-            value = loss.item()
-            if not math.isfinite(value):
-                raise TrainingDiverged(
-                    f"non-finite {stage} loss at step {ctx.step}, epoch {epoch}, "
-                    f"batch {batch_no}", step=ctx.step, epoch=epoch,
-                    batch=batch_no)
-            T.backward(tape, loss)
-            opt.step(lrs)
+            try:
+                with T.Tape() as tape:
+                    loss = batch_loss(idx)
+                value = loss.item()
+                if not math.isfinite(value):
+                    raise TrainingDiverged("non-finite loss")
+                T.backward(tape, loss)
+                opt.step(lrs)
+            except TrainingDiverged as exc:
+                exc.step, exc.epoch, exc.batch = ctx.step, epoch, batch_no
+                exc.args = (f"{exc} during {stage} at step {ctx.step}, "
+                            f"epoch {epoch}, batch {batch_no}",)
+                raise
             opt.zero_grad()
             clamp_temperature(ctx.state)
             epoch_losses.append(value)
@@ -423,10 +426,56 @@ def check_protocol_fits_data(protocol: ProtocolConfig, dataset: LabeledDataset,
     return plan
 
 
+def run_step(t: int, plan: StepPlan, protocol: ProtocolConfig,
+             dataset: LabeledDataset, settings: TrainSettings,
+             label_map: np.ndarray, root: SplitMix64, state: ModelState,
+             store: ExemplarStore) -> tuple[ModelState, StepReport]:
+    """Step t of `plan` (stage 1, herding, the balanced finetune, evaluation)
+    from the model and store step t - 1 left; returns the new model and the
+    step's report. Updates `store` in place and draws only from
+    `root.child(f"step{t}")`, so a checkpoint and a saved store carry all a
+    step hands to the next."""
+    started = time.perf_counter()
+    step_stream = root.child(f"step{t}")
+    class_ids = plan.steps[t - 1]
+    new_images, new_labels = dataset.subset("train", class_ids)
+    old_ids = [c for step in plan.steps[:t - 1] for c in step]
+    n_seen = plan.seen_counts[t - 1]
+    old_state = None
+    if t > 1:
+        old_state = clone_state(state, requires_grad=False)
+        state = expand_classifier(state, protocol.increment, step_stream)
+    ctx = StepContext(step=t, old_class_ids=old_ids, new_class_ids=list(class_ids),
+                      old_state=old_state, state=state, store=store,
+                      new_images=new_images, new_labels=new_labels,
+                      label_map=label_map, settings=settings,
+                      epochs_stage1=(protocol.epochs_initial if t == 1
+                                     else protocol.epochs_step),
+                      stream=step_stream)
+    stage1 = run_stage1(ctx)
+    budget = per_class_budget(protocol.budget, n_seen)
+    store.add_and_trim(
+        construct_exemplars(state, dataset, class_ids, budget), n_seen)
+    finetune = StageTrace(loss_trace=[], eta_trace=[])
+    if t > 1 and settings.balanced_finetune:
+        finetune = run_balanced_finetune(ctx)
+
+    test_images, test_labels = dataset.subset("test", plan.class_order[:n_seen])
+    top1, cm = evaluate(state, test_images, label_map[test_labels], n_seen)
+    return state, StepReport(
+        step=t, n_classes=n_seen, top1=top1, confusion=cm,
+        bias_rate=old_to_new_bias_rate(cm, len(old_ids)),
+        eta=state.temperature, loss_trace=stage1.loss_trace,
+        eta_trace=stage1.eta_trace, finetune_loss_trace=finetune.loss_trace,
+        first_distill=stage1.first_distill,
+        wall_clock=time.perf_counter() - started)
+
+
 def run_protocol(protocol: ProtocolConfig, dataset: LabeledDataset,
                  settings: TrainSettings, model_spec: ModelSpec, seed: int,
                  step_callback=None) -> list[StepReport]:
-    """Execute the full incremental protocol; one StepReport per step."""
+    """Execute the full incremental protocol; one StepReport per step. After
+    each step runs `step_callback(report, state, store)`, if given."""
     plan = check_protocol_fits_data(protocol, dataset, settings)
     label_map = np.full(dataset.num_classes, -1, dtype=np.int64)
     for model_idx, cid in enumerate(plan.class_order):
@@ -437,50 +486,9 @@ def run_protocol(protocol: ProtocolConfig, dataset: LabeledDataset,
     state = init_model(spec, root.child("model"), eta_init=settings.eta_init)
     store = ExemplarStore(protocol.budget)
     reports: list[StepReport] = []
-
-    for t, class_ids in enumerate(plan.steps, start=1):
-        started = time.perf_counter()
-        step_stream = root.child(f"step{t}")
-        new_images, new_labels = dataset.subset("train", class_ids)
-        old_ids = [c for step in plan.steps[:t - 1] for c in step]
-        n_seen = plan.seen_counts[t - 1]
-
-        try:
-            if t == 1:
-                old_state = None
-                epochs = protocol.epochs_initial
-            else:
-                old_state = clone_state(state, requires_grad=False)
-                state = expand_classifier(state, protocol.increment, step_stream)
-                epochs = protocol.epochs_step
-            ctx = StepContext(step=t, old_class_ids=old_ids,
-                              new_class_ids=list(class_ids),
-                              old_state=old_state, state=state, store=store,
-                              new_images=new_images, new_labels=new_labels,
-                              label_map=label_map, settings=settings,
-                              epochs_stage1=epochs, stream=step_stream)
-            stage1 = run_stage1(ctx)
-            budget = per_class_budget(protocol.budget, n_seen)
-            store.add_and_trim(
-                construct_exemplars(state, dataset, class_ids, budget), n_seen)
-            finetune = StageTrace(loss_trace=[], eta_trace=[])
-            if t > 1 and settings.balanced_finetune:
-                finetune = run_balanced_finetune(ctx)
-        except TrainingDiverged as exc:
-            exc.step = exc.step if exc.step is not None else t
-            raise
-
-        seen_ids = plan.class_order[:n_seen]
-        test_images, test_labels = dataset.subset("test", seen_ids)
-        top1, cm = evaluate(state, test_images, label_map[test_labels], n_seen)
-        report = StepReport(
-            step=t, n_classes=n_seen, top1=top1, confusion=cm,
-            bias_rate=old_to_new_bias_rate(cm, len(old_ids)),
-            eta=state.temperature, loss_trace=stage1.loss_trace,
-            eta_trace=stage1.eta_trace,
-            finetune_loss_trace=finetune.loss_trace,
-            first_distill=stage1.first_distill,
-            wall_clock=time.perf_counter() - started)
+    for t in range(1, len(plan.steps) + 1):
+        state, report = run_step(t, plan, protocol, dataset, settings,
+                                 label_map, root, state, store)
         reports.append(report)
         if step_callback is not None:
             step_callback(report, state, store)

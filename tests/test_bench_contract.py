@@ -8,6 +8,10 @@ taped node of one, fails here instead of in the benchmark.
 
 `tracing.install` also patches the engine, model, metrics and optimizer
 functions it times, and raises for a name no tinycil module holds any more.
+`perfbench/child.py` starts a training workload's run clock at the first call
+of `cli.run_protocol`, and `tracing.py` times the step callback that
+`execute_run` passes it by keyword; `child.py` builds the eval workload's
+`StepReport`s from six keywords.
 """
 
 from __future__ import annotations
@@ -21,8 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
+from tinycil import cli
 from tinycil import model as M
 from tinycil import tensor as T
+from tinycil.config import materialize
+from tinycil.metrics import StepReport
 from tinycil.rng import SplitMix64
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -118,3 +125,35 @@ def test_tracer_installs_and_times_evaluate():
     for name in ("metrics.evaluate", "model.forward_eval", "model.stem",
                  "model.head"):
         assert name in names, name
+
+
+TINY_RUN = {
+    "protocol": {"total_classes": 4, "initial_classes": 2, "increment": 2,
+                 "budget": "per_class:2", "epochs_initial": 1, "epochs_step": "1"},
+    "data": {"classes": 4, "per_class_train": 4, "per_class_test": 2,
+             "image_size": 8},
+    "model": {"stem": "patchify", "embed_dim": 8, "num_blocks": 1},
+    "train": {"batch_size": 8, "epochs_finetune": 1, "warmup_epochs": 0},
+}
+
+
+def test_execute_run_enters_run_protocol_once_with_a_keyword_callback(
+        tmp_path, monkeypatch):
+    calls = []
+    run_protocol = cli.run_protocol
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return run_protocol(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_protocol", spy)
+    reports = cli.execute_run(materialize(TINY_RUN), tmp_path / "run", quiet=True)
+    assert len(calls) == 1
+    assert callable(calls[0].get("step_callback"))
+    assert [r.step for r in reports] == [1, 2]
+
+
+def test_step_report_builds_from_the_six_fields_child_py_passes():
+    report = StepReport(step=1, n_classes=2, top1=0.5, confusion=np.eye(2),
+                        bias_rate=0.0, eta=10.0)
+    assert report.loss_trace == [] and report.first_distill is None

@@ -10,20 +10,24 @@ import shutil
 import subprocess
 import sys
 import xml.dom.minidom
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tinycil.cli import main
-from tinycil.config import (DEFAULTS, build_train_settings, load_config,
-                            materialize, resolve_epochs_step)
+from tinycil.cli import _build_dataset, main
+from tinycil.config import (DEFAULTS, build_model_spec, build_protocol_config,
+                            build_train_settings, load_config, materialize,
+                            resolve_epochs_step)
 from tinycil.data import (LabeledDataset, generate_synthetic, load_dataset,
                           save_dataset)
-from tinycil.engine import TrainSettings
+from tinycil.engine import TrainSettings, check_protocol_fits_data, run_step
 from tinycil.errors import ConfigError
-from tinycil.memory import load_store
-from tinycil.model import load_checkpoint
+from tinycil.memory import ExemplarStore, load_store, save_store
+from tinycil.metrics import read_summary_csv, write_summary_csv
+from tinycil.model import init_model, load_checkpoint, save_checkpoint
+from tinycil.rng import SplitMix64
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -335,7 +339,7 @@ def test_run_writes_all_artifacts(config_path, tmp_path, capsys):
     assert [p.name for p in ckpts] == ["step_01.cilm", "step_02.cilm"]
     state = load_checkpoint(ckpts[-1])
     assert state.spec.num_classes == 4
-    store = load_store(out / "exemplars.cilx")
+    store = load_store(out / "exemplars_02.cilx")
     assert store.total_count() == 4 * 4
 
 
@@ -442,6 +446,86 @@ def test_run_divergence_preserves_partial_reports(config_path, tmp_path,
     assert (out / "summary.csv").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert "finished" in manifest
+
+
+def test_manifest_outputs_name_every_file_a_run_writes(config_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+    named = {name.replace("XX", f"{t:02d}") for name in outputs.values()
+             for t in (1, 2)}
+    written = {p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()}
+    assert written == named | {"manifest.json"}
+
+
+@pytest.mark.parametrize("writer", ["save_checkpoint", "save_store",
+                                    "write_summary_csv", "write_reports_jsonl"])
+def test_a_writer_failing_at_step_2_leaves_only_whole_steps(
+        config_path, tmp_path, monkeypatch, capsys, writer):
+    import tinycil.cli as cli
+    real, calls = getattr(cli, writer), []
+
+    def fail_on_second_call(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(f"{writer} failed")
+        real(*args)
+
+    monkeypatch.setattr(cli, writer, fail_on_second_call)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    assert f"{writer} failed" in capsys.readouterr().err
+    committed = [json.loads(line) for line in
+                 (out / "steps.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in committed] == [1]
+    for r in committed + read_summary_csv(out / "summary.csv"):
+        state = load_checkpoint(out / "checkpoints" / f"step_{r['step']:02d}.cilm")
+        store = load_store(out / f"exemplars_{r['step']:02d}.cilx")
+        assert state.spec.num_classes == r["n_classes"]
+        assert len(store.class_ids()) == r["n_classes"]
+
+
+def test_steps_run_from_the_previous_steps_files_reproduce_the_run(tmp_path):
+    # what a step hands to the next is its checkpoint and its exemplar store;
+    # three steps, so step 3 starts from a step that itself started from
+    # files, and the conv stem, so the checkpoints carry batch-norm buffers
+    cfg = tmp_path / "three_steps.ini"
+    cfg.write_text(TINY_CONFIG.replace("total_classes = 4", "total_classes = 6")
+                   .replace("[data]\nclasses = 4", "[data]\nclasses = 6")
+                   .replace("stem = patchify", "stem = conv"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    resolved = materialize(load_config(cfg))
+    assert resolved["protocol"]["total_classes"] == resolved["data"]["classes"] == 6
+    assert resolved["model"]["stem"] == "conv"
+    protocol = build_protocol_config(resolved)
+    settings = build_train_settings(resolved)
+    dataset = _build_dataset(resolved)
+    spec = build_model_spec(resolved, image_size=8, channels=3)
+    plan = check_protocol_fits_data(protocol, dataset, settings)
+    label_map = np.full(dataset.num_classes, -1, dtype=np.int64)
+    label_map[plan.class_order] = np.arange(len(plan.class_order))
+    root = SplitMix64(resolved["run"]["seed"])
+    state = init_model(replace(spec, num_classes=protocol.initial_classes),
+                       root.child("model"), eta_init=settings.eta_init)
+    store = ExemplarStore(protocol.budget)
+    reports = []
+    for t in range(1, len(plan.steps) + 1):
+        if t > 1:
+            state = load_checkpoint(out / "checkpoints" / f"step_{t - 1:02d}.cilm")
+            store = load_store(out / f"exemplars_{t - 1:02d}.cilx")
+        state, report = run_step(t, plan, protocol, dataset, settings, label_map,
+                                 root, state, store)
+        reports.append(report)
+        save_checkpoint(state, tmp_path / "step.cilm")
+        save_store(store, tmp_path / "step.cilx")
+        assert ((tmp_path / "step.cilm").read_bytes() ==
+                (out / "checkpoints" / f"step_{t:02d}.cilm").read_bytes())
+        assert ((tmp_path / "step.cilx").read_bytes() ==
+                (out / f"exemplars_{t:02d}.cilx").read_bytes())
+    write_summary_csv(reports, tmp_path / "summary.csv")
+    assert ((tmp_path / "summary.csv").read_bytes() ==
+            (out / "summary.csv").read_bytes())
 
 
 def test_run_on_file_dataset(tmp_path):

@@ -15,6 +15,7 @@ import pytest
 
 from helpers import gc_disabled, greedy_sq_oracle, run_fresh_python
 
+from tinycil import engine as E
 from tinycil import model as M
 from tinycil import tensor as T
 from tinycil.augment import AugmentConfig, augment_batch
@@ -24,7 +25,7 @@ from tinycil.engine import (StepContext, TrainSettings, _lr_schedule,
                             distill_loss, margin_ranking_loss,
                             run_balanced_finetune, run_protocol, run_stage1,
                             total_loss)
-from tinycil.errors import ConfigError
+from tinycil.errors import ConfigError, TrainingDiverged
 from tinycil.memory import ExemplarStore, PerClass, Total, per_class_budget
 from tinycil.model import (ModelSpec, clone_state, expand_classifier,
                            forward_features, init_model, state_hash)
@@ -536,6 +537,38 @@ def test_context_rejects_overlapping_classes():
                     epochs_stage1=1, stream=SplitMix64(0))
 
 
+def test_non_finite_gradient_names_its_step_epoch_and_batch(monkeypatch):
+    # step 2's stage 1 trains on 8 exemplars + 24 new images in batches of 8:
+    # four optimizer steps per epoch, so its sixth is epoch 1, batch 1
+    ds = generate_synthetic(4, 12, 4, image_size=8, seed=9)
+    protocol = ProtocolConfig(total_classes=4, initial_classes=2, increment=2,
+                              budget=PerClass(4), epochs_initial=1, epochs_step=2)
+    stage1_steps, step2_updates = [], []
+    stage1, adam_step = E.run_stage1, AdamW.step
+
+    def recording_stage1(ctx):
+        stage1_steps.append(ctx.step)
+        return stage1(ctx)
+
+    def poisoning_step(self, lrs):
+        if stage1_steps[-1] == 2:
+            if len(step2_updates) == 5:
+                p = next(iter(self.groups[0].params.values()))
+                p.grad = np.full_like(p.data, np.nan)
+            step2_updates.append(lrs)
+        adam_step(self, lrs)
+
+    monkeypatch.setattr(E, "run_stage1", recording_stage1)
+    monkeypatch.setattr(AdamW, "step", poisoning_step)
+    with pytest.raises(TrainingDiverged) as info:
+        run_protocol(protocol, ds, tiny_settings(batch_size=8, epochs_finetune=1),
+                     TINY_SPEC, seed=3)
+    exc = info.value
+    assert (exc.step, exc.epoch, exc.batch) == (2, 1, 1)
+    assert str(exc).startswith("non-finite gradient in ")
+    assert str(exc).endswith("during stage-1 at step 2, epoch 1, batch 1")
+
+
 # --- herding: one pooled pass over every requested class ---------------------
 
 # training images per class, in the order the tests request the classes: the
@@ -659,7 +692,7 @@ EXAMPLE_ARTIFACT_SHA256 = {
 def test_example_config_writes_the_recorded_exemplar_store(tmp_path, blas_threads):
     run_fresh_python("-m", "tinycil", "run", "--config", str(ROOT / "configs" / "example.ini"),
                      "--out", str(tmp_path / "run"), OPENBLAS_NUM_THREADS=blas_threads)
-    store = (tmp_path / "run" / "exemplars.cilx").read_bytes()
+    store = (tmp_path / "run" / "exemplars_02.cilx").read_bytes()
     assert hashlib.sha256(store).hexdigest() == EXAMPLE_STORE_SHA256
     for name, digest in EXAMPLE_ARTIFACT_SHA256.items():
         data = (tmp_path / "run" / name).read_bytes()
