@@ -1,10 +1,10 @@
 """Batch experiment runner: run / compare / ablate / gen-data subcommands.
 
 Every run writes a manifest with the fully resolved config, each step's model
-checkpoint and exemplar store, JSON-lines step reports, and a summary CSV.
-Rerunning from a manifest reproduces the summary CSV byte for byte. Charts are
-emitted as self-contained SVG polyline plots so the CSV stays the
-authoritative output.
+checkpoint and exemplar store, a summary CSV and, last, the step's line of
+steps.jsonl, which commits it (compare reads only committed steps). Rerunning
+from a manifest reproduces the summary CSV byte for byte. Charts are emitted
+as self-contained SVG polyline plots so the CSV stays the authoritative output.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from .config import (build_model_spec, build_protocol_config,
                      build_train_settings, load_config, materialize)
 from .data import generate_synthetic, load_dataset, save_dataset
 from .engine import check_protocol_fits_data, run_protocol
-from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .errors import (ConfigError, DataFormatError, StepWriteFailed,
+                     TrainingDiverged)
 from .memory import save_store
-from .metrics import (average_incremental_accuracy, read_summary_csv,
+from .metrics import (average_incremental_accuracy, read_reports_jsonl,
                       write_csv, write_reports_jsonl, write_summary_csv)
 from .model import save_checkpoint
 
@@ -46,6 +47,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as exc:
         print(f"training diverged: {exc} (partial reports preserved)",
               file=sys.stderr)
+        return 1
+    except StepWriteFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
@@ -111,7 +115,11 @@ def _build_dataset(resolved: dict):
 
 
 def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
-    """Run one resolved config into out_dir; returns the step reports."""
+    """Run one resolved config into out_dir, which must be new or empty;
+    returns the step reports."""
+    if out_dir.is_dir() and any(out_dir.iterdir()):
+        raise ConfigError(f"{out_dir} is not empty: a run writes into a new "
+                          "or empty directory")
     protocol = build_protocol_config(resolved)
     settings = build_train_settings(resolved)
     dataset = _build_dataset(resolved)
@@ -124,7 +132,7 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(exist_ok=True)
+    ckpt_dir.mkdir()
     manifest = {
         "config": resolved,
         "seeds": {"run": seed, "shuffle": protocol.shuffle_seed,
@@ -137,15 +145,16 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
     }
     _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
 
-    reports = []
+    committed = []
 
     def on_step(report, state, store):
         # steps.jsonl goes last: its line for a step commits the step's files
-        reports.append(report)
+        reports = committed + [report]
         save_checkpoint(state, ckpt_dir / f"step_{report.step:02d}.cilm")
         save_store(store, out_dir / f"exemplars_{report.step:02d}.cilx")
         write_summary_csv(reports, out_dir / "summary.csv")
         write_reports_jsonl(reports, out_dir / "steps.jsonl")
+        committed.append(report)
         if not quiet:
             print(f"step {report.step}: classes={report.n_classes} "
                   f"top1={report.top1:.4f} bias={report.bias_rate:.4f} "
@@ -154,10 +163,13 @@ def execute_run(resolved: dict, out_dir: Path, quiet: bool = False) -> list:
     try:
         run_protocol(protocol, dataset, settings, spec, seed,
                      step_callback=on_step)
+    except OSError as exc:
+        last = f"step {committed[-1].step}" if committed else "no step"
+        raise StepWriteFailed(f"{exc} (steps.jsonl commits {last})") from exc
     finally:
         manifest["finished"] = datetime.now(timezone.utc).isoformat()
         _write_text(out_dir / "manifest.json", json.dumps(manifest, indent=2))
-    return reports
+    return committed
 
 
 def cmd_run(args) -> int:
@@ -179,21 +191,21 @@ def cmd_run(args) -> int:
 
 def _load_run(run_dir: Path) -> dict:
     manifest_path = run_dir / "manifest.json"
-    summary_path = run_dir / "summary.csv"
-    if not manifest_path.exists() or not summary_path.exists():
+    steps_path = run_dir / "steps.jsonl"
+    if not manifest_path.exists() or not steps_path.exists():
         raise ConfigError(f"{run_dir}: not a run directory (need manifest.json "
-                          "and summary.csv)")
+                          "and steps.jsonl)")
     try:
         protocol = json.loads(manifest_path.read_text())["config"]["protocol"]
     except (ValueError, LookupError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest ({exc!r})") from None
     try:
-        rows = read_summary_csv(summary_path)
-    except (ValueError, IndexError) as exc:
-        raise ConfigError(f"{summary_path}: malformed summary ({exc})") from None
-    if not rows or any({"step", "n_classes", "top1"} - row.keys() for row in rows):
-        raise ConfigError(f"{summary_path}: needs step, n_classes and top1 "
-                          "for at least one step")
+        rows = [{"step": int(r.step), "n_classes": int(r.n_classes),
+                 "top1": float(r.top1)} for r in read_reports_jsonl(steps_path)]
+    except (ValueError, LookupError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"{steps_path}: malformed step report ({exc!r})") from None
+    if not rows:
+        raise ConfigError(f"{steps_path}: commits no step")
     return {"name": run_dir.name, "protocol": protocol, "rows": rows}
 
 
@@ -211,9 +223,9 @@ def cmd_compare(args) -> int:
     longest = max((r["rows"] for r in runs), key=len)
     rows = [["step", "n_classes"] + [f"top1_{r['name']}" for r in runs]]
     for i, row in enumerate(longest):
-        cells = [str(row["step"]), str(row["n_classes"])]
+        cells = [row["step"], row["n_classes"]]
         for run in runs:
-            cells.append(repr(run["rows"][i]["top1"]) if i < len(run["rows"]) else "")
+            cells.append(run["rows"][i]["top1"] if i < len(run["rows"]) else "")
         rows.append(cells)
     write_csv(out_dir / "compare.csv", rows)
 
@@ -224,7 +236,7 @@ def cmd_compare(args) -> int:
         avg = average_incremental_accuracy(accs)
         avg_excl = (average_incremental_accuracy(accs, include_initial=False)
                     if len(accs) > 1 else avg)
-        avg_rows.append([run["name"], repr(avg), repr(avg_excl)])
+        avg_rows.append([run["name"], avg, avg_excl])
         series.append((f"{run['name']} [{100 * avg:.2f}]",
                        [r["n_classes"] for r in run["rows"]], accs))
     write_csv(out_dir / "compare_averages.csv", avg_rows)
@@ -271,8 +283,7 @@ def cmd_ablate(args) -> int:
         print(f"[{args.axis}={arm_name}]")
         reports = execute_run(arm_cfg, arm_dir)
         avg = average_incremental_accuracy([r.top1 for r in reports])
-        grid.append([arm_name, repr(avg), repr(reports[-1].top1),
-                     repr(reports[-1].eta)])
+        grid.append([arm_name, avg, reports[-1].top1, reports[-1].eta])
         run_dirs.append(str(arm_dir))
     write_csv(out_dir / "ablation.csv", grid)
     cmd_compare(argparse.Namespace(run_dirs=run_dirs, out=str(out_dir)))

@@ -23,7 +23,7 @@ from .memory import ExemplarStore, herding_select, per_class_budget
 from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
                     cosine_logits, cosine_scores, embed, embed_chunks,
-                    expand_classifier, forward_features, init_model)
+                    expand_classifier, forward_features, head_probs, init_model)
 from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -133,18 +133,16 @@ def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
                                axis=1)))
 
 
-def margin_ranking_loss(state: ModelState, features: Tensor,
-                        hard_labels: np.ndarray, n_old: int,
+def margin_ranking_loss(scores: Tensor, hard_labels: np.ndarray, n_old: int,
                         m: float, top_k: int) -> Tensor:
     """Hinge at margin m on the top-K new-class cosine scores for old-class
-    samples."""
+    samples; `scores` is the head's `[b, classes]` cosine-score matrix."""
     labels = np.asarray(hard_labels, dtype=np.int64)
     rows = np.nonzero(labels < n_old)[0]
-    n_new = state.spec.num_classes - n_old
+    n_new = scores.shape[1] - n_old
     if len(rows) == 0 or n_new < 1:
         return Tensor(0.0)
     k = min(top_k, n_new)
-    scores = cosine_scores(state, features)
     sel = T.take(scores, rows, axis=0)
     y_score = T.take_along_axis(sel, labels[rows][:, None], axis=1)
     new_block = sel[:, n_old:]
@@ -155,19 +153,20 @@ def margin_ranking_loss(state: ModelState, features: Tensor,
 
 
 def total_loss(ctx: StepContext, images: Tensor, targets: np.ndarray,
-               hard_labels: np.ndarray | None = None,
-               f_old: Tensor | None = None,
-               lam: float = 0.0) -> tuple[Tensor, float | None]:
-    """Stage-1 objective; returns (loss, distill value or None)."""
+               hard_labels: np.ndarray, f_old: Tensor | None,
+               lam: float) -> tuple[Tensor, float | None]:
+    """Stage-1 objective; returns (loss, distill value or None). The CE head
+    and the margin hinge read one cosine-score matrix; distillation runs when
+    `f_old` is given."""
     feats = forward_features(ctx.state, images, mode="train")
-    probs = cosine_logits(ctx.state, feats)
-    loss = cross_entropy(probs, targets)
-    if ctx.settings.margin_ranking and hard_labels is not None:
-        mr = margin_ranking_loss(ctx.state, feats, hard_labels,
-                                 len(ctx.old_class_ids), MARGIN, MARGIN_TOP_K)
-        loss = loss + mr
+    scores = cosine_scores(ctx.state, feats)
+    loss = cross_entropy(head_probs(ctx.state, scores), targets)
+    if ctx.settings.margin_ranking:
+        loss = loss + margin_ranking_loss(scores, hard_labels,
+                                          len(ctx.old_class_ids), MARGIN,
+                                          MARGIN_TOP_K)
     dis_value = None
-    if f_old is not None and lam > 0.0:
+    if f_old is not None:
         dis = distill_loss(f_old, feats)
         dis_value = dis.item()
         loss = loss + lam * dis
@@ -270,15 +269,28 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
     return trace
 
 
+def _frozen_views(state: ModelState, images_u8: np.ndarray, hflip: bool):
+    """`rows(idx, flipped)`: eval-mode features of a `state` that does not
+    train, for `images_u8[idx]`, mirrored where `flipped` is set. Each image
+    is embedded once, and once more as its mirror when `hflip` is on."""
+    feats = embed(state, images_u8)
+    mirrored = embed(state, images_u8, flip=True) if hflip else None
+
+    def rows(idx, flipped):
+        out = feats[idx]
+        if mirrored is not None:
+            out[flipped] = mirrored[idx[flipped]]
+        return out
+
+    return rows
+
+
 def run_stage1(ctx: StepContext) -> StageTrace:
     """Train all parameters on replay + new data; returns per-epoch traces.
 
-    With distillation on, the old model's eval-mode features are per-sample
-    and, in a batch Mixup and CutMix left alone, depend only on the image and
-    whether it was mirrored. So every training image (and its mirror when
-    flips are on) is embedded once by the old model, and an unmixed batch
-    gathers its rows from that cache. A mixed batch's pixels blend two
-    images, so it keeps a forward of its own.
+    With distillation on, a batch that Mixup and CutMix left alone gathers
+    the old model's features from `_frozen_views`. A mixed batch's pixels
+    blend two images, so it keeps a forward of its own.
     """
     settings = ctx.settings
     images_u8, labels = _training_arrays(ctx)
@@ -292,9 +304,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     order_stream = ctx.stream.child("order")
     distill = ctx.old_state is not None and lam > 0.0
     if distill:
-        old_feats = embed(ctx.old_state, images_u8)
-        old_mirrored = (embed(ctx.old_state, images_u8, flip=True)
-                        if settings.augment.hflip else None)
+        old_rows = _frozen_views(ctx.old_state, images_u8, settings.augment.hflip)
     first_distill = []
 
     def old_features(idx, batch):
@@ -302,10 +312,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
         if batch.mixed:
             return forward_features(ctx.old_state, Tensor(batch.images),
                                     mode="eval").data
-        feats = old_feats[idx]
-        if old_mirrored is not None:
-            feats[batch.flipped] = old_mirrored[idx[batch.flipped]]
-        return feats
+        return old_rows(idx, batch.flipped)
 
     def batch_loss(idx):
         raw = images_u8[idx].astype(np.float64) / 255.0
@@ -328,9 +335,9 @@ def run_stage1(ctx: StepContext) -> StageTrace:
 def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     """Classifier-only training on the balanced exemplar set (CE only).
 
-    Eval-mode features are per-sample, so each exemplar (and its mirror image
-    when flips are on) is embedded once by the stage-1 backbone; batches pick
-    a view per row and train the cosine head alone on those cached features.
+    The backbone does not train here, so batches gather the stage-1
+    backbone's features from `_frozen_views`, a view per row, and train the
+    cosine head alone on them.
     """
     settings = ctx.settings
     counts = ctx.store.counts()
@@ -340,9 +347,7 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     images_u8, orig_labels = ctx.store.as_arrays()
     labels = ctx.label_map[orig_labels]
     num_classes = ctx.state.spec.num_classes
-    feats = embed(ctx.state, images_u8)
-    mirrored = (embed(ctx.state, images_u8, flip=True)
-                if settings.augment.hflip else None)
+    views = _frozen_views(ctx.state, images_u8, settings.augment.hflip)
 
     groups = build_param_groups(ctx.state, replace(
         settings, backbone_lr=settings.backbone_lr * FINETUNE_LR_SCALE))
@@ -354,13 +359,12 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     order_stream = ctx.stream.child("finetune_order")
 
     def batch_loss(idx):
-        batch = feats[idx]
-        if mirrored is not None:
-            flip = flip_stream.uniforms(len(idx)) < 0.5
-            batch[flip] = mirrored[idx[flip]]
+        flip = (flip_stream.uniforms(len(idx)) < 0.5 if settings.augment.hflip
+                else None)
         targets = one_hot(labels[idx], num_classes,
                           smoothing=settings.augment.label_smoothing)
-        return cross_entropy(cosine_logits(ctx.state, Tensor(batch)), targets)
+        return cross_entropy(cosine_logits(ctx.state, Tensor(views(idx, flip))),
+                             targets)
 
     return _train_epochs(ctx, head, schedule, len(labels), order_stream,
                          batch_loss, stage="finetune")

@@ -18,11 +18,13 @@ class DataFormatError(ValueError):
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss or gradients became NaN; carries the step/epoch/batch position."""
+    """Loss or gradients became NaN; the trainer that catches it sets the
+    step/epoch/batch position."""
 
-    def __init__(self, message: str, step: int | None = None,
-                 epoch: int | None = None, batch: int | None = None):
-        super().__init__(message)
-        self.step = step
-        self.epoch = epoch
-        self.batch = batch
+    step: int | None = None
+    epoch: int | None = None
+    batch: int | None = None
+
+
+class StepWriteFailed(RuntimeError):
+    """A step's files could not be written after training began."""

@@ -105,10 +105,6 @@ def evaluate(state: ModelState, images: np.ndarray, labels: np.ndarray,
 # ---------------------------------------------------------------------------
 # report files
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
 def write_reports_jsonl(reports: list[StepReport], path) -> None:
     with atomic_open(path) as f:
         for r in reports:
@@ -125,7 +121,7 @@ def read_reports_jsonl(path) -> list[StepReport]:
 
 
 def write_csv(path, rows) -> None:
-    """Rows as CSV; a cell holding a comma or a quote is quoted."""
+    """Rows as CSV, a float as its repr; a cell with a comma or quote is quoted."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     with atomic_open(path) as f:
@@ -139,19 +135,5 @@ def write_summary_csv(reports: list[StepReport], path) -> None:
     for r in reports:
         accs.append(r.top1)
         avg = average_incremental_accuracy(accs)
-        rows.append([r.step, r.n_classes, _fmt(r.top1), _fmt(r.bias_rate),
-                     _fmt(r.eta), _fmt(avg)])
+        rows.append([r.step, r.n_classes, r.top1, r.bias_rate, r.eta, avg])
     write_csv(path, rows)
-
-
-def read_summary_csv(path) -> list[dict]:
-    with open(path) as f:
-        lines = [ln.strip() for ln in f if ln.strip()]
-    header = lines[0].split(",")
-    rows = []
-    for ln in lines[1:]:
-        vals = ln.split(",")
-        row = dict(zip(header, vals))
-        rows.append({k: (int(v) if k in ("step", "n_classes") else float(v))
-                     for k, v in row.items()})
-    return rows

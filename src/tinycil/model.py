@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import tensor as T
-from .augment import hflip
 from .binio import Reader, write_file
 from .errors import ConfigError, DataFormatError, ShapeError
 from .rng import SplitMix64
@@ -178,9 +177,9 @@ def layout(spec: ModelSpec):
             yield buffer, f"stem.conv{i}_running_var", (c,), "ones"
 
 
-def _state(spec: ModelSpec, entries, requires_grad: bool = True) -> ModelState:
+def _state(spec: ModelSpec, entries, requires_grad: bool) -> ModelState:
     """ModelState from `(kind, name, array)` triples; parameters get tracked
-    unless `requires_grad` is off."""
+    when `requires_grad` is on."""
     groups = ({}, {}, {})                # indexed by entry kind
     for kind, name, arr in entries:
         groups[kind][name] = (arr if kind == _KIND_BUFFER
@@ -195,7 +194,7 @@ def init_model(spec: ModelSpec, stream: SplitMix64, eta_init: float = 10.0) -> M
     return _state(spec, (
         (kind, name, rng.normals(shape, std=INIT_STD) if init == "normal"
          else np.full(shape, fill[init], dtype=np.float64))
-        for kind, name, shape, init in layout(spec)))
+        for kind, name, shape, init in layout(spec)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,8 @@ def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
 
 def embed_chunks(state: ModelState, images_u8: np.ndarray, rows: np.ndarray,
                  flip: bool):
-    """Eval-mode features of `images_u8[rows]`, optionally mirrored, and an
-    iterator that yields, in chunk order, how many leading rows are filled.
+    """Eval-mode features of `images_u8[rows]`, optionally mirrored (by view),
+    and an iterator that yields, in chunk order, how many leading rows are filled.
     EMBED_CHUNK-row chunks run on the pool and gather and write their own
     rows; no image's feature depends on the others, so neither does the
     result. Workers open no tape, so a caller's `Tape` records nothing. A
@@ -308,7 +307,7 @@ def embed_chunks(state: ModelState, images_u8: np.ndarray, rows: np.ndarray,
     def run_chunk(start: int) -> int:
         chunk = images_u8[rows[start:start + EMBED_CHUNK]].astype(np.float64) / 255.0
         if flip:
-            chunk = hflip(chunk, np.ones(len(chunk), dtype=bool))
+            chunk = chunk[..., ::-1]
         feats[start:start + len(chunk)] = forward_features(
             state, Tensor(chunk), mode="eval").data
         return start + len(chunk)
@@ -330,10 +329,14 @@ def cosine_scores(state: ModelState, features: Tensor) -> Tensor:
     return T.matmul(fbar, T.transpose(wbar, (1, 0)))
 
 
-def cosine_logits(state: ModelState, features: Tensor) -> Tensor:
+def head_probs(state: ModelState, scores: Tensor) -> Tensor:
     """Class probabilities: softmax over temperature-scaled cosine scores."""
-    scaled = cosine_scores(state, features) * state.classifier["temperature"]
-    return T.softmax(scaled, axis=-1)
+    return T.softmax(scores * state.classifier["temperature"], axis=-1)
+
+
+def cosine_logits(state: ModelState, features: Tensor) -> Tensor:
+    """`head_probs` of the features' cosine scores."""
+    return head_probs(state, cosine_scores(state, features))
 
 
 def expand_classifier(state: ModelState, new_class_count: int,
@@ -454,4 +457,4 @@ def load_checkpoint(path) -> ModelState:
         raise DataFormatError(
             f"checkpoint has {n_entries} entries, its spec has {len(entries)}")
     r.finish()
-    return _state(spec, entries)
+    return _state(spec, entries, True)

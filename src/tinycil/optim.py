@@ -59,8 +59,8 @@ class AdamW:
 
     def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m = {n: np.zeros_like(p.data) for n, p in self._params().items()}
+        self._v = {n: np.zeros_like(p.data) for n, p in self._params().items()}
         self._t = 0
 
     def _params(self) -> dict[str, Tensor]:
@@ -86,9 +86,6 @@ class AdamW:
                     continue
                 if group.weight_decay:
                     p.data *= (1.0 - lr * group.weight_decay)
-                if name not in self._m:
-                    self._m[name] = np.zeros_like(p.data)
-                    self._v[name] = np.zeros_like(p.data)
                 m = self._m[name]
                 v = self._v[name]
                 m *= BETA1

@@ -7,7 +7,9 @@ enter `tensor.conv2d.fwd`. A change that renames an op, or fuses away the last
 taped node of one, fails here instead of in the benchmark.
 
 `tracing.install` also patches the engine, model, metrics and optimizer
-functions it times, and raises for a name no tinycil module holds any more.
+functions it times, and raises for a name no tinycil module holds any more;
+a traced evaluation and two traced training runs (conv stem with the
+finetune, patchify with margin ranking) must complete.
 `perfbench/child.py` starts a training workload's run clock at the first call
 of `cli.run_protocol`, and `tracing.py` times the step callback that
 `execute_run` passes it by keyword; `child.py` builds the eval workload's
@@ -113,18 +115,61 @@ print(json.dumps(sorted({span[0] for span in tracer.spans})))
 """
 
 
-def test_tracer_installs_and_times_evaluate():
+def _traced_span_names(script, *args):
     # in a subprocess: install rebinds functions in every tinycil module
     src = str(TRACING.parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run([sys.executable, "-c", _INSTALL_AND_EVALUATE, str(TRACING)],
-                          capture_output=True, text=True, env=env, timeout=120)
+    done = subprocess.run([sys.executable, "-c", script, str(TRACING), *args],
+                          capture_output=True, text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    names = json.loads(done.stdout)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_tracer_installs_and_times_evaluate():
+    names = _traced_span_names(_INSTALL_AND_EVALUATE)
     for name in ("metrics.evaluate", "model.forward_eval", "model.stem",
                  "model.head"):
         assert name in names, name
+
+
+_INSTALL_AND_TRAIN = """
+import importlib.util, json, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("perfbench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+tracer = tracing.Tracer()
+tracing.install(tracer)
+from tinycil import cli, config
+names = []
+for i, (section, overrides) in enumerate(json.loads(sys.argv[3])):
+    raw = json.loads(sys.argv[2])
+    raw[section].update(overrides)
+    tracer.spans.clear()
+    cli.execute_run(config.materialize(raw), Path(sys.argv[4]) / str(i), quiet=True)
+    names.append(sorted({span[0] for span in tracer.spans}))
+print(json.dumps(names))
+"""
+
+
+def test_tracer_times_both_training_workloads_through_execute_run(tmp_path):
+    # the two training paths of the benchmark: conv stem with the balanced
+    # finetune on, and patchify with margin ranking on
+    arms = [("model", {"stem": "conv", "stem_channels": "4,8"}),
+            ("augment", {"margin_ranking": True, "mixup": False,
+                         "cutmix": False})]
+    raw = json.loads(json.dumps(TINY_RUN))
+    raw["augment"] = {}
+    per_run = _traced_span_names(_INSTALL_AND_TRAIN, json.dumps(raw),
+                                 json.dumps(arms), str(tmp_path))
+    assert len(per_run) == 2
+    for names in per_run:
+        for name in ("engine.loss", "engine.finetune", "model.head",
+                     "tensor.backward", "cli.step_artifacts"):
+            assert name in names, name
+    assert "tensor.conv2d.bwd" in per_run[0]
+    assert "tensor.conv2d.fwd" not in per_run[1]
 
 
 TINY_RUN = {

@@ -25,7 +25,7 @@ from tinycil.data import (LabeledDataset, generate_synthetic, load_dataset,
 from tinycil.engine import TrainSettings, check_protocol_fits_data, run_step
 from tinycil.errors import ConfigError
 from tinycil.memory import ExemplarStore, load_store, save_store
-from tinycil.metrics import read_summary_csv, write_summary_csv
+from tinycil.metrics import StepReport, write_summary_csv
 from tinycil.model import init_model, load_checkpoint, save_checkpoint
 from tinycil.rng import SplitMix64
 
@@ -473,16 +473,54 @@ def test_a_writer_failing_at_step_2_leaves_only_whole_steps(
 
     monkeypatch.setattr(cli, writer, fail_on_second_call)
     out = tmp_path / "out"
-    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
-    assert f"{writer} failed" in capsys.readouterr().err
+    # step 1 trained and was committed: exit 1, like a divergence
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{writer} failed" in err and "steps.jsonl commits step 1" in err
     committed = [json.loads(line) for line in
                  (out / "steps.jsonl").read_text().splitlines()]
     assert [r["step"] for r in committed] == [1]
-    for r in committed + read_summary_csv(out / "summary.csv"):
-        state = load_checkpoint(out / "checkpoints" / f"step_{r['step']:02d}.cilm")
-        store = load_store(out / f"exemplars_{r['step']:02d}.cilx")
-        assert state.spec.num_classes == r["n_classes"]
-        assert len(store.class_ids()) == r["n_classes"]
+    with open(out / "summary.csv", newline="") as f:
+        summary = list(csv.DictReader(f))
+    for r in committed + summary:
+        step, n_classes = int(r["step"]), int(r["n_classes"])
+        state = load_checkpoint(out / "checkpoints" / f"step_{step:02d}.cilm")
+        store = load_store(out / f"exemplars_{step:02d}.cilx")
+        assert state.spec.num_classes == n_classes
+        assert len(store.class_ids()) == n_classes
+    # summary.csv is written before steps.jsonl, so it can hold one
+    # uncommitted step more; compare lists the committed steps alone
+    assert len(summary) == (2 if writer == "write_reports_jsonl" else 1)
+    assert main(["compare", str(out), "--out", str(tmp_path / "cmp")]) == 0
+    with open(tmp_path / "cmp" / "compare.csv", newline="") as f:
+        assert [row[0] for row in list(csv.reader(f))[1:]] == ["1"]
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_a_run_into_a_non_empty_directory_exits_2_and_writes_nothing(
+        config_path, tmp_path, capsys):
+    # a 3-step run, then a 2-step run into the same directory: the second
+    # would leave step_03's files beside a 2-line steps.jsonl
+    cfg = tmp_path / "three_steps.ini"
+    cfg.write_text(TINY_CONFIG.replace("total_classes = 4", "total_classes = 6")
+                   .replace("[data]\nclasses = 4", "[data]\nclasses = 6"))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    first = _files(out)
+    assert "exemplars_03.cilx" in first
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not empty" in err
+    assert _files(out) == first
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert main(["run", "--config", str(config_path), "--out", str(empty)]) == 0
+    assert (empty / "steps.jsonl").exists()
 
 
 def test_steps_run_from_the_previous_steps_files_reproduce_the_run(tmp_path):
@@ -636,8 +674,8 @@ def test_compare_runs_of_different_lengths(config_path, tmp_path):
     partial = tmp_path / "partial"               # as a diverged run leaves it
     partial.mkdir()
     (partial / "manifest.json").write_bytes((full / "manifest.json").read_bytes())
-    summary = (full / "summary.csv").read_text().splitlines()
-    (partial / "summary.csv").write_text("\n".join(summary[:2]) + "\n")
+    steps = (full / "steps.jsonl").read_text().splitlines()
+    (partial / "steps.jsonl").write_text(steps[0] + "\n")
     for order in ([full, partial], [partial, full]):
         cmp_dir = tmp_path / f"cmp_{order[0].name}"
         assert main(["compare", *map(str, order), "--out", str(cmp_dir)]) == 0
@@ -694,8 +732,18 @@ def test_compare_protocol_mismatch(config_path, tmp_path):
                  "--out", str(tmp_path / "c")]) == 2
 
 
+_STEP_LINE = json.dumps(StepReport(step=1, n_classes=2, top1=0.5,
+                                   confusion=np.eye(2, dtype=np.int64),
+                                   bias_rate=0.0, eta=10.0).to_json_dict())
+
+
 @pytest.mark.parametrize("name,text", [
-    ("summary.csv", "step,n_classes,top1\n1,2,abc\n"),
+    pytest.param("steps.jsonl", _STEP_LINE.replace('"top1": 0.5', '"top1": "abc"'),
+                 id="steps.jsonl-top1-abc"),
+    pytest.param("steps.jsonl", _STEP_LINE.replace('"step": 1, ', ""),
+                 id="steps.jsonl-no-step"),
+    pytest.param("steps.jsonl", "{not json", id="steps.jsonl-not-json"),
+    pytest.param("steps.jsonl", "", id="steps.jsonl-empty"),
     ("manifest.json", "{not json"),
     ("manifest.json", '{"seeds": {"run": 1}}'),
 ])
@@ -703,10 +751,12 @@ def test_compare_malformed_run_dir_exit_2(tmp_path, capsys, name, text):
     run = tmp_path / "run"
     run.mkdir()
     (run / "manifest.json").write_text('{"config": {"protocol": {}}}')
-    (run / "summary.csv").write_text("step,n_classes,top1\n1,2,0.5\n")
+    (run / "steps.jsonl").write_text(_STEP_LINE + "\n")
+    assert main(["compare", str(run), "--out", str(tmp_path / "ok")]) == 0
     (run / name).write_text(text)
     assert main(["compare", str(run), "--out", str(tmp_path / "c")]) == 2
-    assert name in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert name in err and err.count("\n") == 1
 
 
 def test_compare_empty_dir_fails(tmp_path):

@@ -147,8 +147,8 @@ def test_margin_satisfied_is_zero():
     w = np.eye(3)
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0, 0.0]]))   # cos: [1, 0, 0]
-    loss = margin_ranking_loss(state, f, np.array([0]), n_old=1,
-                               m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]),
+                               n_old=1, m=0.5, top_k=1)
     assert loss.item() == 0.0
 
 
@@ -158,16 +158,16 @@ def test_margin_hand_value():
     w = np.array([[0.6, 0.8], [0.4, math.sqrt(1 - 0.16)]])
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0]]))
-    loss = margin_ranking_loss(state, f, np.array([0]), n_old=1,
-                               m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]),
+                               n_old=1, m=0.5, top_k=1)
     assert loss.item() == pytest.approx(0.3, abs=1e-9)
 
 
 def test_margin_no_eligible_rows_is_zero():
     state = _margin_state(np.eye(3))
     f = Tensor(np.ones((2, 3)))
-    loss = margin_ranking_loss(state, f, np.array([2, 2]), n_old=2,
-                               m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([2, 2]),
+                               n_old=2, m=0.5, top_k=1)
     assert loss.item() == 0.0
 
 
@@ -187,7 +187,8 @@ def test_total_loss_first_step_is_pure_ce():
     ctx, _ = make_ctx()
     imgs = Tensor(ctx.new_images[:4].astype(float) / 255.0)
     targets = np.zeros((4, 2)); targets[:, 0] = 1.0
-    loss, dis = total_loss(ctx, imgs, targets, f_old=None, lam=0.0)
+    loss, dis = total_loss(ctx, imgs, targets, hard_labels=np.zeros(4, int),
+                           f_old=None, lam=0.0)
     assert dis is None
     assert math.isfinite(loss.item())
 
@@ -199,7 +200,8 @@ def test_total_loss_distill_zero_at_step_start():
     targets = np.zeros((4, 2)); targets[:, 0] = 1.0
     old = clone_state(ctx.state, requires_grad=False)
     f_old = Tensor(forward_features(old, imgs, mode="eval").data)
-    loss, dis = total_loss(ctx, imgs, targets, f_old=f_old, lam=3.0)
+    loss, dis = total_loss(ctx, imgs, targets, hard_labels=np.zeros(4, int),
+                           f_old=f_old, lam=3.0)
     assert abs(dis) <= 1e-9
 
 
@@ -315,6 +317,35 @@ def test_stage1_cached_old_features_match_a_batch_forward(monkeypatch, spec,
     for images, f_old in seen:
         expected = forward_features(ctx.old_state, Tensor(images), mode="eval")
         np.testing.assert_allclose(f_old, expected.data, rtol=0, atol=1e-12)
+
+
+def test_a_margin_batch_computes_the_cosine_scores_once(monkeypatch):
+    # the CE head and the margin hinge share one score matrix; the spy sits
+    # on both names a head pass can be reached by
+    import tinycil.engine as engine
+    import tinycil.model as model
+    ctx = _distill_ctx(tiny_settings(margin_ranking=True, augment=AugmentConfig(
+        mixup=False, cutmix=False, label_smoothing=0.0)))
+    scores, loss = model.cosine_scores, engine.total_loss
+    calls, per_batch, old_rows = [], [], []
+
+    def counting_scores(*args):
+        calls.append(args)
+        return scores(*args)
+
+    def counting_loss(ctx, images, targets, hard_labels, **kw):
+        calls.clear()
+        old_rows.append(int((hard_labels < 2).sum()))
+        out = loss(ctx, images, targets, hard_labels=hard_labels, **kw)
+        per_batch.append(len(calls))
+        return out
+
+    monkeypatch.setattr(model, "cosine_scores", counting_scores)
+    monkeypatch.setattr(engine, "cosine_scores", counting_scores)
+    monkeypatch.setattr(engine, "total_loss", counting_loss)
+    run_stage1(ctx)
+    assert len(per_batch) == 6 and all(old_rows)
+    assert per_batch == [1] * 6
 
 
 @pytest.mark.parametrize("hflip,views", [(True, 2), (False, 1)])

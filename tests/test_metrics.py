@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import csv
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from tinycil.errors import ConfigError
 from tinycil.metrics import (StepReport, average_incremental_accuracy,
                              confusion_matrix, evaluate, old_to_new_bias_rate,
-                             read_reports_jsonl, read_summary_csv,
-                             write_reports_jsonl, write_summary_csv)
+                             read_reports_jsonl, write_reports_jsonl,
+                             write_summary_csv)
 from tinycil.model import ModelSpec, init_model
 from tinycil.rng import SplitMix64
 
@@ -186,10 +189,23 @@ def test_jsonl_roundtrip(tmp_path):
 def test_summary_csv_running_average(tmp_path):
     path = tmp_path / "summary.csv"
     write_summary_csv(_reports(), path)
-    rows = read_summary_csv(path)
-    assert rows[0]["avg_inc_acc_so_far"] == pytest.approx(0.9)
-    assert rows[1]["avg_inc_acc_so_far"] == pytest.approx(0.8)
-    assert rows[1]["n_classes"] == 4
+    with open(path, newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert float(rows[0]["avg_inc_acc_so_far"]) == pytest.approx(0.9)
+    assert float(rows[1]["avg_inc_acc_so_far"]) == pytest.approx(0.8)
+    assert rows[1]["n_classes"] == "4"
+
+
+def test_summary_csv_writes_each_float_as_its_repr(tmp_path):
+    write_summary_csv(_reports(), tmp_path / "a.csv")
+    with open(tmp_path / "a.csv", newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[2][:5] == ["2", "4", "0.7", "0.25", "10.5"]
+    # numpy scalars write the same cells as Python floats
+    as_numpy = [replace(r, top1=np.float64(r.top1), eta=np.float64(r.eta))
+                for r in _reports()]
+    write_summary_csv(as_numpy, tmp_path / "b.csv")
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_summary_csv_bytes_deterministic(tmp_path):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tinycil").glob("*.py"))
-MAX_OPTIONS = 120
+MAX_OPTIONS = 113
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
