@@ -53,8 +53,7 @@ class SoftBatch:
             self.flipped = np.zeros(len(self.images), dtype=bool)
 
 
-def one_hot(labels: np.ndarray, num_classes: int,
-            smoothing: float = 0.0) -> np.ndarray:
+def one_hot(labels: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
     targets = np.zeros((len(labels), num_classes), dtype=np.float64)
     targets[np.arange(len(labels)), labels] = 1.0
     if smoothing:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .binio import atomic_open
-from .config import (build_model_spec, build_protocol_config,
+from .config import (DEFAULTS, build_model_spec, build_protocol_config,
                      build_train_settings, load_config, materialize)
 from .data import generate_synthetic, load_dataset, save_dataset
 from .engine import check_protocol_fits_data, run_protocol
@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="merge runs into a table and SVG chart")
     p.add_argument("run_dirs", nargs="+", help="run output directories")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=lambda args: compare_runs(args.run_dirs, Path(args.out)))
 
     p = sub.add_parser("ablate", help="expand a config along one axis and run all arms")
     p.add_argument("--config", required=True)
@@ -80,11 +80,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic CILD dataset")
     p.add_argument("--classes", type=int, required=True)
     p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--per-class-test", type=int, default=20)
-    p.add_argument("--image-size", type=int, default=16)
-    p.add_argument("--channels", type=int, default=3)
-    p.add_argument("--difficulty", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=7)
+    for key in ("per_class_test", "image_size", "channels", "difficulty", "seed"):
+        default = DEFAULTS["data"][key]
+        p.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=default)
     p.add_argument("--out", required=True, help="output .cild path")
     p.set_defaults(func=cmd_gen_data)
     return parser
@@ -199,46 +197,42 @@ def _load_run(run_dir: Path) -> dict:
         protocol = json.loads(manifest_path.read_text())["config"]["protocol"]
     except (ValueError, LookupError, TypeError) as exc:
         raise ConfigError(f"{manifest_path}: not a run manifest ({exc!r})") from None
-    try:
-        rows = [{"step": int(r.step), "n_classes": int(r.n_classes),
-                 "top1": float(r.top1)} for r in read_reports_jsonl(steps_path)]
-    except (ValueError, LookupError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"{steps_path}: malformed step report ({exc!r})") from None
-    if not rows:
+    reports = read_reports_jsonl(steps_path)
+    if not reports:
         raise ConfigError(f"{steps_path}: commits no step")
-    return {"name": run_dir.name, "protocol": protocol, "rows": rows}
+    return {"name": run_dir.name, "protocol": protocol, "reports": reports}
 
 
-def cmd_compare(args) -> int:
-    runs = [_load_run(Path(d)) for d in args.run_dirs]
+def compare_runs(run_dirs, out_dir: Path) -> int:
+    """`compare`: the runs' top-1 per step, their averages and a chart."""
+    runs = [_load_run(Path(d)) for d in run_dirs]
     for run in runs[1:]:
         if run["protocol"] != runs[0]["protocol"]:
             raise ConfigError(
                 f"protocol mismatch between {runs[0]['name']} and {run['name']}")
-    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # runs may stop early (a diverged run keeps its finished steps): the
     # longest one lists the steps, and missing cells stay empty
-    longest = max((r["rows"] for r in runs), key=len)
+    longest = max((r["reports"] for r in runs), key=len)
     rows = [["step", "n_classes"] + [f"top1_{r['name']}" for r in runs]]
-    for i, row in enumerate(longest):
-        cells = [row["step"], row["n_classes"]]
+    for i, report in enumerate(longest):
+        cells = [report.step, report.n_classes]
         for run in runs:
-            cells.append(run["rows"][i]["top1"] if i < len(run["rows"]) else "")
+            cells.append(run["reports"][i].top1 if i < len(run["reports"]) else "")
         rows.append(cells)
     write_csv(out_dir / "compare.csv", rows)
 
     avg_rows = [["run", "avg_inc_acc", "avg_inc_acc_excl_initial"]]
     series = []
     for run in runs:
-        accs = [r["top1"] for r in run["rows"]]
+        accs = [r.top1 for r in run["reports"]]
         avg = average_incremental_accuracy(accs)
         avg_excl = (average_incremental_accuracy(accs, include_initial=False)
                     if len(accs) > 1 else avg)
         avg_rows.append([run["name"], avg, avg_excl])
         series.append((f"{run['name']} [{100 * avg:.2f}]",
-                       [r["n_classes"] for r in run["rows"]], accs))
+                       [r.n_classes for r in run["reports"]], accs))
     write_csv(out_dir / "compare_averages.csv", avg_rows)
     write_line_chart_svg(out_dir / "compare.svg", series)
     print(f"compared {len(runs)} runs -> {out_dir}")
@@ -286,7 +280,7 @@ def cmd_ablate(args) -> int:
         grid.append([arm_name, avg, reports[-1].top1, reports[-1].eta])
         run_dirs.append(str(arm_dir))
     write_csv(out_dir / "ablation.csv", grid)
-    cmd_compare(argparse.Namespace(run_dirs=run_dirs, out=str(out_dir)))
+    compare_runs(run_dirs, out_dir)
     print(f"ablation grid -> {out_dir / 'ablation.csv'}")
     return 0
 

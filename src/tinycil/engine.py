@@ -386,7 +386,7 @@ def construct_exemplars(state: ModelState, dataset: LabeledDataset,
         end += len(rows)
         while done < end:
             done = next(chunks)
-        f = T.l2_normalize(feats[end - len(rows):end]).data
+        f = T.l2_normalize(feats[end - len(rows):end], axis=-1).data
         out[int(cid)] = dataset.images[rows[herding_select(f, budget)]]
     return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .binio import atomic_open
-from .errors import ConfigError
+from .errors import ConfigError, DataFormatError
 from .model import ModelState, cosine_logits, embed
 from .tensor import Tensor
 
@@ -45,10 +45,37 @@ class StepReport:
         return d
 
     @classmethod
-    def from_json_dict(cls, d: dict) -> "StepReport":
-        d = dict(d)
-        d["confusion"] = np.asarray(d["confusion"], dtype=np.int64)
-        return cls(**d)
+    def from_json_dict(cls, d) -> "StepReport":
+        """The report whose `to_json_dict` is d. DataFormatError names the first
+        field that is not of its `_REPORT_TYPES` type."""
+        if not isinstance(d, dict) or set(d) != set(_REPORT_TYPES):
+            raise DataFormatError("a step report must be a JSON object with the "
+                                  f"fields {', '.join(_REPORT_TYPES)}")
+        for name, t in _REPORT_TYPES.items():
+            if not _is_json(d[name], t, d["n_classes"]):
+                raise DataFormatError(f"field {name!r} must be {t}")
+        return cls(**{**d, "confusion": np.asarray(d["confusion"], dtype=np.int64)})
+
+
+# The JSON type of each field of a step report, in checking order: "[t]" is a
+# list of t, and "n x n" a list of n lists of n, n being the report's n_classes.
+_REPORT_TYPES = {"step": "int", "n_classes": "int", "top1": "number",
+                 "confusion": "n x n [[int]]", "bias_rate": "number", "eta": "number",
+                 "loss_trace": "[number]", "eta_trace": "[number]",
+                 "finetune_loss_trace": "[number]", "first_distill": "number or null",
+                 "wall_clock": "number"}
+
+
+def _is_json(v, t: str, n) -> bool:
+    """Whether the JSON value v is of the type t of `_REPORT_TYPES` in a report
+    of n classes. A bool is no number."""
+    if t.startswith("n x n "):
+        return _is_json(v, t[6:], n) and len(v) == n and all(len(row) == n for row in v)
+    if t.startswith("["):
+        return isinstance(v, list) and all(_is_json(x, t[1:-1], n) for x in v)
+    if v is None:
+        return t == "number or null"
+    return not isinstance(v, bool) and isinstance(v, int if t == "int" else (int, float))
 
 
 def confusion_matrix(true_labels, predicted_labels, n_classes: int) -> np.ndarray:
@@ -112,11 +139,15 @@ def write_reports_jsonl(reports: list[StepReport], path) -> None:
 
 
 def read_reports_jsonl(path) -> list[StepReport]:
+    """Every report of a steps.jsonl file; DataFormatError names a bad line."""
     out = []
-    with open(path) as f:
-        for line in f:
+    with open(path, "rb") as f:             # json.loads decodes inside the try
+        for i, line in enumerate(f, 1):
             if line.strip():
-                out.append(StepReport.from_json_dict(json.loads(line)))
+                try:
+                    out.append(StepReport.from_json_dict(json.loads(line)))
+                except ValueError as exc:       # not JSON, or not a report
+                    raise DataFormatError(f"{path}, line {i}: {exc}") from None
     return out
 
 

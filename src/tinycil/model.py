@@ -251,7 +251,7 @@ def _mlp(state: ModelState, block: int, x: Tensor) -> Tensor:
     return T.linear(h, p[f"block{block}.mlp2_weight"], p[f"block{block}.mlp2_bias"])
 
 
-def forward_features(state: ModelState, images, mode: str = "eval") -> Tensor:
+def forward_features(state: ModelState, images, mode: str) -> Tensor:
     """CLS-token feature after the final block and final norm.
 
     Only the CLS row is read. The last block therefore takes its keys and
@@ -365,7 +365,7 @@ def clamp_temperature(state: ModelState) -> None:
         eta[0] = TEMPERATURE_FLOOR
 
 
-def clone_state(state: ModelState, requires_grad: bool = True) -> ModelState:
+def clone_state(state: ModelState, requires_grad: bool) -> ModelState:
     """Deep copy (used for the frozen old-model snapshot at each step)."""
     return _state(state.spec, ((kind, name, arr.copy())
                                for kind, name, arr in state.arrays()),

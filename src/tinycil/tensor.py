@@ -158,8 +158,8 @@ class Tensor:
     def __getitem__(self, key):
         return index(self, key)
 
-    def sum(self, axis=None, keepdims: bool = False):
-        return sum_(self, axis=axis, keepdims=keepdims)
+    def sum(self, axis=None):
+        return sum_(self, axis=axis)
 
 
 class _Node:
@@ -470,15 +470,13 @@ def attention(qkv, heads: int, queries: int) -> Tensor:
     q, k, v = qkv.data.reshape(b, t, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     q = q[:, :, :queries]
     kt = np.ascontiguousarray(k.swapaxes(-1, -2))
-    p = np.matmul(q, kt) * scale                      # [b, heads, queries, t]
-    p = np.exp(p - p.max(axis=-1, keepdims=True))
-    p /= p.sum(axis=-1, keepdims=True)
+    p = _softmax(np.matmul(q, kt) * scale, -1)        # [b, heads, queries, t]
     out = Tensor(np.matmul(p, v).transpose(0, 2, 1, 3).reshape(b, queries, d))
 
     def _bw(g):
         g = g.reshape(b, queries, heads, dh).transpose(0, 2, 1, 3)
         dp = np.matmul(g, v.swapaxes(-1, -2))
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+        ds = _softmax_grad(p, dp, -1)
         ds *= scale
         dqkv = np.empty((b, t, 3, heads, dh))
         dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
@@ -494,36 +492,30 @@ def attention(qkv, heads: int, queries: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions
 
-def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis, keepdims: bool):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    axes = tuple(a % len(shape) for a in axes)
-    if not keepdims:
-        for a in sorted(axes):
-            g = np.expand_dims(g, a)
-    return np.broadcast_to(g, shape)
+def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis):
+    """The gradient g of a reduction over `axis`, broadcast back to `shape`."""
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
+def sum_(a, axis=None) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
     return _record(out, (a,), lambda g: (
-        np.ascontiguousarray(_expand_reduced(g, a.shape, axis, keepdims)),))
+        np.ascontiguousarray(_expand_reduced(g, a.shape, axis)),))
 
 
-def mean(a, axis=None, keepdims: bool = False) -> Tensor:
+def mean(a, axis=None) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.mean(axis=axis))
     count = a.data.size / out.data.size
     return _record(out, (a,), lambda g: (
-        np.ascontiguousarray(_expand_reduced(g, a.shape, axis, keepdims)) / count,))
+        np.ascontiguousarray(_expand_reduced(g, a.shape, axis)) / count,))
 
 
-def max_(a, axis=None, keepdims: bool = False) -> Tensor:
+def max_(a, axis=None) -> Tensor:
     """Max reduction; ties send the gradient to the first maximum only."""
     a = _coerce(a)
-    out = Tensor(a.data.max(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.max(axis=axis))
 
     def _bw(g):
         mask = np.zeros_like(a.data)
@@ -532,7 +524,7 @@ def max_(a, axis=None, keepdims: bool = False) -> Tensor:
         else:
             idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
             np.put_along_axis(mask, idx, 1.0, axis=axis)
-        return (mask * _expand_reduced(g, a.shape, axis, keepdims),)
+        return (mask * _expand_reduced(g, a.shape, axis),)
 
     return _record(out, (a,), _bw)
 
@@ -540,40 +532,62 @@ def max_(a, axis=None, keepdims: bool = False) -> Tensor:
 # ---------------------------------------------------------------------------
 # normalization / softmax
 
-def softmax(a, axis: int = -1) -> Tensor:
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    """The forward of `softmax` and `attention`: exp(x - max), over its sum."""
+    y = np.exp(x - x.max(axis=axis, keepdims=True))
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    """y∘(g − rowsum(g∘y)): the gradient toward a softmax's input, from its output y."""
+    return y * (g - (g * y).sum(axis=axis, keepdims=True))
+
+
+def softmax(a, axis: int) -> Tensor:
     """Row-stable softmax (max subtraction before exponentials)."""
     a = _coerce(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    y = _softmax(a.data, axis)
+    return _record(Tensor(y), (a,), lambda g: (_softmax_grad(y, g, axis),))
+
+
+def _normalize(x: Tensor, gain: Tensor, bias: Tensor, axes, shared: tuple,
+               stats):
+    """`gain * (x - mu) / sqrt(var + VAR_EPS) + bias` as one node: the kernel
+    of `layer_norm` and `batch_norm`. Returns the output, mu and var.
+
+    mu and var are x's statistics over `axes`, kept as unit axes, and the
+    backward differentiates through them; fixed `stats` (mu, var) are
+    constants, so dx is dxhat * inv. gain and bias vary along the one axis
+    of x not in `shared`, and their gradients sum over `shared`.
+    """
+    gshape = [1 if i in shared else -1 for i in range(x.data.ndim)]
+    gain_b, bias_b = gain.data.reshape(gshape), bias.data.reshape(gshape)
+    mu, var = (x.data.mean(axis=axes, keepdims=True), None) if stats is None else stats
+    xhat = x.data - mu
+    if var is None:
+        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+    inv = 1.0 / np.sqrt(var + VAR_EPS)
+    xhat *= inv
+    out = Tensor(gain_b * xhat + bias_b)
 
     def _bw(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
+        dgain = (g * xhat).sum(axis=shared)
+        dbias = g.sum(axis=shared)
+        dxhat = g * gain_b
+        if stats is not None:
+            return dxhat * inv, dgain, dbias
+        dx = inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+        return dx, dgain, dbias
 
-    return _record(out, (a,), _bw)
+    return _record(out, (x, gain, bias), _bw), mu, var
 
 
 def layer_norm(x, gain, bias) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + VAR_EPS)
-    xhat *= inv
-    out = Tensor(gain.data * xhat + bias.data)
-
-    def _bw(g):
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        dxhat = g * gain.data
-        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return dx, dgain, dbias
-
-    return _record(out, (x, gain, bias), _bw)
+    return _normalize(x, gain, bias, -1, tuple(range(x.data.ndim - 1)), None)[0]
 
 
 def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
@@ -581,45 +595,23 @@ def batch_norm(x, gain, bias, running_mean: np.ndarray, running_var: np.ndarray,
     """Per-channel batch norm over a [b, c, h, w] tensor.
 
     Training mode normalizes with batch statistics and updates the running
-    buffers in place (biased variance, momentum BN_MOMENTUM). Eval mode is a
-    fixed affine map through the running statistics.
+    buffers in place from them (biased variance, momentum BN_MOMENTUM). Eval
+    mode is a fixed affine map through the running statistics.
     """
     x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
     if x.data.ndim != 4:
         raise ShapeError(f"batch_norm expects [b,c,h,w], got {x.shape}")
-    c = x.shape[1]
-    gshape = (1, c, 1, 1)
-    axes = (0, 2, 3)
+    stats = None if training else (running_mean.reshape(1, -1, 1, 1),
+                                   running_var.reshape(1, -1, 1, 1))
+    out, mu, var = _normalize(x, gain, bias, (0, 2, 3), (0, 2, 3), stats)
     if training:
-        mu = x.data.mean(axis=axes)
-        xhat = x.data - mu.reshape(gshape)
-        var = (xhat * xhat).mean(axis=axes)
-        running_mean *= (1.0 - BN_MOMENTUM)
-        running_mean += BN_MOMENTUM * mu
-        running_var *= (1.0 - BN_MOMENTUM)
-        running_var += BN_MOMENTUM * var
-    else:
-        xhat = x.data - running_mean.reshape(gshape)
-        var = running_var
-    inv = (1.0 / np.sqrt(var + VAR_EPS)).reshape(gshape)
-    xhat *= inv
-    out = Tensor(gain.data.reshape(gshape) * xhat + bias.data.reshape(gshape))
-
-    def _bw(g):
-        dgain = (g * xhat).sum(axis=axes)
-        dbias = g.sum(axis=axes)
-        dxhat = g * gain.data.reshape(gshape)
-        if training:
-            dx = inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
-        else:
-            dx = dxhat * inv
-        return dx, dgain, dbias
-
-    return _record(out, (x, gain, bias), _bw)
+        for buf, stat in ((running_mean, mu), (running_var, var)):
+            buf *= (1.0 - BN_MOMENTUM)
+            buf += BN_MOMENTUM * stat.reshape(-1)
+    return out
 
 
-def l2_normalize(a, axis: int = -1) -> Tensor:
+def l2_normalize(a, axis: int) -> Tensor:
     """Scale rows to unit L2 norm; a norm below NORM_EPS divides by NORM_EPS,
     with one RuntimeWarning that counts those rows."""
     a = _coerce(a)
@@ -691,7 +683,7 @@ def _im2col(x: np.ndarray, ytaps: list, xtaps: list, out_h: int,
     return cols
 
 
-def conv2d(x, kernel, stride: int = 1, padding: int = 0) -> Tensor:
+def conv2d(x, kernel, stride: int, padding: int) -> Tensor:
     """2-d cross-correlation of [b,c,h,w] with [c_out,c,kh,kw].
 
     The backward makes one GEMM for the kernel gradient and, only if x was
@@ -745,18 +737,15 @@ def reshape(a, shape) -> Tensor:
     return _record(out, (a,), lambda g: (g.reshape(a.shape),))
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a, axes) -> Tensor:
     a = _coerce(a)
     out = Tensor(a.data.transpose(axes))
-    if axes is None:
-        inv = None
-    else:
-        inv = np.argsort(axes)
+    inv = np.argsort(axes)
     return _record(out, (a,), lambda g: (
         np.ascontiguousarray(g.transpose(inv)),))
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     tensors = [_coerce(t) for t in tensors]
     out = Tensor(np.concatenate([t.data for t in tensors], axis=axis))
     sizes = [t.shape[axis] for t in tensors]
@@ -781,7 +770,7 @@ def index(a, key) -> Tensor:
     return _record(out, (a,), _bw)
 
 
-def take(a, indices, axis: int = 0) -> Tensor:
+def take(a, indices, axis: int) -> Tensor:
     """Gather whole slices by a 1-d integer index array."""
     a = _coerce(a)
     idx = np.asarray(indices, dtype=np.int64)

@@ -24,16 +24,16 @@ def _batch(b=6, num_classes=10, seed=0, h=16):
 
 def test_mixup_lam_one_is_identity():
     images, labels = _batch()
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     out = mixup(batch, 1.0, SplitMix64(1))
     np.testing.assert_array_equal(out.images, images)
-    np.testing.assert_array_equal(out.targets, one_hot(labels, 10))
+    np.testing.assert_array_equal(out.targets, one_hot(labels, 10, smoothing=0.0))
 
 
 def test_mixup_half_mixes_two_labels():
     images = np.zeros((2, 3, 4, 4))
     labels = np.array([2, 7])
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     out = mixup(batch, 0.5, SplitMix64(2))
     for row in out.targets:
         nz = np.nonzero(row)[0]
@@ -44,7 +44,7 @@ def test_mixup_half_mixes_two_labels():
 
 def test_mixup_pixel_identity():
     images, labels = _batch(b=4, seed=3)
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     stream = SplitMix64(4)
     perm = SplitMix64(4).permutation(4)  # same draw the op will make
     out = mixup(batch, 0.3, stream)
@@ -54,7 +54,7 @@ def test_mixup_pixel_identity():
 @pytest.mark.parametrize("mix", [mixup, cutmix], ids=["mixup", "cutmix"])
 def test_mix_batch_of_one_passes_through(mix):
     images, labels = _batch(b=1)
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     out = mix(batch, 0.4, SplitMix64(5))
     np.testing.assert_array_equal(out.images, images)
     np.testing.assert_array_equal(out.targets, batch.targets)
@@ -65,7 +65,7 @@ def test_mix_batch_of_one_passes_through(mix):
 
 def test_cutmix_zero_area_is_identity():
     images, labels = _batch(seed=6)
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     out = cutmix(batch, 0.0, SplitMix64(7))
     np.testing.assert_array_equal(out.images, images)
     np.testing.assert_array_equal(out.targets, batch.targets)
@@ -73,7 +73,7 @@ def test_cutmix_zero_area_is_identity():
 
 def test_cutmix_full_box_is_partner():
     images, labels = _batch(seed=8)
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     stream = SplitMix64(9)
     perm = SplitMix64(9).permutation(images.shape[0])
     out = cutmix(batch, 1.0, stream)
@@ -84,7 +84,7 @@ def test_cutmix_full_box_is_partner():
 def test_cutmix_quarter_box_weight_exact(monkeypatch):
     monkeypatch.setattr(augment, "_paste_box", lambda *args: (2, 3, 10, 11))
     images, labels = _batch(b=4, seed=10, h=16)
-    batch = SoftBatch(images, one_hot(labels, 10))
+    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
     out = cutmix(batch, 0.25, SplitMix64(11))
     perm = SplitMix64(11).permutation(4)
     expected = 0.75 * batch.targets + 0.25 * batch.targets[perm]
@@ -99,7 +99,7 @@ def test_cutmix_box_stays_in_bounds_and_weight_matches():
     for trial in range(30):
         lam = rng.uniform(0, 1)
         images, labels = _batch(b=3, seed=trial)
-        batch = SoftBatch(images, one_hot(labels, 10))
+        batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0))
         out = cutmix(batch, lam, SplitMix64(trial))
         np.testing.assert_allclose(out.targets.sum(axis=1), 1.0, atol=1e-9)
 
@@ -120,7 +120,7 @@ def test_disabled_pipeline_gives_exact_one_hots():
     images, labels = _batch(seed=13)
     out = augment_batch(images, labels, 10, cfg, SplitMix64(14))
     np.testing.assert_array_equal(out.images, images)
-    np.testing.assert_array_equal(out.targets, one_hot(labels, 10))
+    np.testing.assert_array_equal(out.targets, one_hot(labels, 10, smoothing=0.0))
     assert set(np.unique(out.targets)) <= {0.0, 1.0}
 
 

@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -380,6 +381,20 @@ def test_run_out_in_config_is_the_output_directory(tmp_path, monkeypatch,
         assert arm["config"]["run"]["out"] == ""
 
 
+@pytest.mark.parametrize("command,artifact", [
+    (["run"], "summary.csv"),
+    (["ablate", "--axis", "bias_correction"], "ablate-bias_correction/ablation.csv"),
+])
+def test_without_out_a_run_writes_under_the_out_root(tmp_path, monkeypatch,
+                                                     config_path, command, artifact):
+    root = tmp_path / "root"
+    monkeypatch.setenv("TINYCIL_OUT_ROOT", str(root))
+    assert main([command[0], "--config", str(config_path), *command[1:]]) == 0
+    (run_dir,) = root.iterdir()
+    assert re.fullmatch(r"tiny-s5-\d{8}-\d{6}", run_dir.name)
+    assert (run_dir / artifact).exists()
+
+
 def test_rerun_from_manifest_writes_to_run_out_unless_out_given(tmp_path,
                                                                 monkeypatch):
     monkeypatch.setenv("TINYCIL_OUT_ROOT", str(tmp_path / "default"))
@@ -580,21 +595,43 @@ def test_run_on_file_dataset(tmp_path):
     assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
 
 
-def _file_config_keeping(tmp_path, keep):
-    """TINY_CONFIG on a CILD file where class c keeps keep[c] training images;
-    the rest of its training images move to the test split."""
-    ds = generate_synthetic(4, 8, 4, image_size=8, seed=3)
-    moved = np.concatenate([ds.class_indices("train", c)[n:] for c, n in keep.items()])
-    save_dataset(LabeledDataset(
-        images=ds.images, labels=ds.labels, num_classes=4,
-        train_indices=np.setdiff1d(ds.train_indices, moved),
-        test_indices=np.union1d(ds.test_indices, moved)), tmp_path / "toy.cild")
+def _file_config(tmp_path, ds):
+    """TINY_CONFIG reading `ds` from a CILD file."""
+    save_dataset(ds, tmp_path / "toy.cild")
     cfg = tmp_path / "file.ini"
     cfg.write_text(TINY_CONFIG.replace(
         "[data]\nclasses = 4\nper_class_train = 8\nper_class_test = 4\n"
         "image_size = 8\nseed = 3",
         f"[data]\nsource = file\npath = {tmp_path / 'toy.cild'}"))
     return cfg
+
+
+def _file_config_keeping(tmp_path, keep):
+    """TINY_CONFIG on a CILD file where class c keeps keep[c] training images;
+    the rest of its training images move to the test split."""
+    ds = generate_synthetic(4, 8, 4, image_size=8, seed=3)
+    moved = np.concatenate([ds.class_indices("train", c)[n:] for c, n in keep.items()])
+    return _file_config(tmp_path, LabeledDataset(
+        images=ds.images, labels=ds.labels, num_classes=4,
+        train_indices=np.setdiff1d(ds.train_indices, moved),
+        test_indices=np.union1d(ds.test_indices, moved)))
+
+
+@pytest.mark.parametrize("ds,match", [
+    pytest.param(replace(generate_synthetic(4, 8, 4, image_size=8, seed=3),
+                         images=np.zeros((48, 3, 8, 6), dtype=np.uint8)),
+                 "dataset images must be square, got 8x6", id="non-square"),
+    pytest.param(generate_synthetic(3, 8, 4, image_size=8, seed=3),
+                 "protocol needs 4 classes, dataset has 3", id="too-few-classes"),
+])
+def test_a_file_dataset_the_run_cannot_use_exit_2_before_writing(tmp_path, capsys,
+                                                                 ds, match):
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(_file_config(tmp_path, ds)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {match}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("keep,match", [
@@ -638,6 +675,14 @@ def test_gen_data_roundtrip(tmp_path):
     ds = load_dataset(out)
     assert ds.num_classes == 3
     assert len(ds.labels) == 21
+
+
+def test_gen_data_defaults_are_the_config_defaults(tmp_path):
+    out = tmp_path / "d.cild"
+    assert main(["gen-data", "--classes", "10", "--per-class", "64",
+                 "--out", str(out)]) == 0
+    save_dataset(_build_dataset(materialize({})), tmp_path / "config.cild")
+    assert out.read_bytes() == (tmp_path / "config.cild").read_bytes()
 
 
 def test_gen_data_classes_above_u16_exit_2(tmp_path, capsys):

@@ -119,7 +119,7 @@ def _loads_or_rejects(fmt: str, path, blob: bytes) -> None:
         spec = loaded.spec
         images = np.zeros((1, spec.in_channels, spec.image_size, spec.image_size))
         with np.errstate(all="ignore"):         # flipped values may be NaN
-            forward_features(loaded, images)
+            forward_features(loaded, images, mode="eval")
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tinycil.errors import ConfigError
+from tinycil.errors import ConfigError, DataFormatError
 from tinycil.metrics import (StepReport, average_incremental_accuracy,
                              confusion_matrix, evaluate, old_to_new_bias_rate,
                              read_reports_jsonl, write_reports_jsonl,
@@ -184,6 +185,65 @@ def test_jsonl_roundtrip(tmp_path):
     assert len(loaded) == 2
     assert loaded[1].bias_rate == 0.25
     np.testing.assert_array_equal(loaded[0].confusion, np.eye(2, dtype=np.int64))
+
+
+_LINE = _reports()[1].to_json_dict()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("top1", "abc"),
+    ("step", True),
+    ("step", 1.0),
+    ("n_classes", "4"),
+    ("bias_rate", None),
+    pytest.param("eta", [10.5], id="eta-list"),
+    ("wall_clock", False),
+    ("first_distill", "1e-12"),
+    ("loss_trace", 0.9),
+    pytest.param("eta_trace", [10.5, "x"], id="eta_trace-str-item"),
+    pytest.param("finetune_loss_trace", [True], id="finetune_loss_trace-bool-item"),
+    pytest.param("confusion", np.ones((4, 4)).tolist(), id="confusion-floats"),
+    pytest.param("confusion", np.ones((4, 3), dtype=int).tolist(), id="confusion-4x3"),
+    pytest.param("confusion", np.ones((3, 4), dtype=int).tolist(), id="confusion-3x4"),
+    pytest.param("confusion", [[1, 1, 1, 1]] * 3 + [[1, 1, 1]], id="confusion-ragged"),
+    pytest.param("confusion", [1, 1, 1, 1], id="confusion-vector"),
+])
+def test_jsonl_reader_names_the_file_line_and_field_of_a_bad_value(tmp_path, field,
+                                                                    value):
+    path = tmp_path / "steps.jsonl"
+    write_reports_jsonl(_reports(), path)
+    lines = path.read_text().splitlines()
+    lines[1] = json.dumps({**_LINE, field: value})
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataFormatError) as exc:
+        read_reports_jsonl(path)
+    assert str(exc.value).startswith(f"{path}, line 2: field {field!r} must be")
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{not json", "line 2: Expecting property name"),
+    (b"\xff\xfe\xfd", "line 2: "),
+    ("[1, 2]", "line 2: a step report must be a JSON object"),
+    (json.dumps({**_LINE, "extra": 1}), "line 2: a step report must be a JSON object "
+     "with the fields step, n_classes, top1, confusion, "),
+    (json.dumps({k: v for k, v in _LINE.items() if k != "step"}),
+     "line 2: a step report must be a JSON object with the fields step, "),
+], ids=["not-json", "not-utf8", "not-an-object", "unknown-field", "missing-field"])
+def test_jsonl_reader_rejects_a_line_that_is_no_report(tmp_path, text, message):
+    path = tmp_path / "steps.jsonl"
+    path.write_bytes(json.dumps(_reports()[0].to_json_dict()).encode() + b"\n"
+                     + (text if isinstance(text, bytes) else text.encode()) + b"\n")
+    with pytest.raises(DataFormatError, match=message):
+        read_reports_jsonl(path)
+
+
+def test_jsonl_reader_accepts_ints_as_numbers_and_null_first_distill(tmp_path):
+    path = tmp_path / "steps.jsonl"
+    path.write_text(json.dumps({**_LINE, "top1": 1, "eta": 10, "loss_trace": [1, 0.5],
+                                "first_distill": None}) + "\n\n")
+    (report,) = read_reports_jsonl(path)
+    assert (report.top1, report.eta, report.first_distill) == (1, 10, None)
+    assert report.confusion.dtype == np.int64
 
 
 def test_summary_csv_running_average(tmp_path):

@@ -79,7 +79,7 @@ def test_forward_shape_and_determinism(stem):
 def test_forward_identical_states_zero_cosine_distance():
     spec = toy_spec()
     state = M.init_model(spec, SplitMix64(2))
-    twin = M.clone_state(state)
+    twin = M.clone_state(state, requires_grad=True)
     imgs = toy_images(2, spec)
     fa = M.forward_features(state, imgs, mode="eval").data
     fb = M.forward_features(twin, imgs, mode="eval").data
@@ -91,7 +91,7 @@ def test_forward_rejects_bad_dims_and_mode():
     spec = toy_spec()
     state = M.init_model(spec, SplitMix64(3))
     with pytest.raises(ShapeError):
-        M.forward_features(state, np.zeros((2, 3, 8, 8)))
+        M.forward_features(state, np.zeros((2, 3, 8, 8)), mode="eval")
     with pytest.raises(ValueError):
         M.forward_features(state, toy_images(1, spec), mode="predict")
 
@@ -156,7 +156,7 @@ def _reference_features(state, images, mode):
 
 
 def _features_and_grads(forward, state, images, mode):
-    state = M.clone_state(state)
+    state = M.clone_state(state, requires_grad=True)
     weights = np.random.default_rng(1).normal(size=(len(images), state.spec.embed_dim))
     with T.Tape() as tape:
         feats = forward(state, images, mode)
@@ -306,8 +306,8 @@ def test_expand_classifier_grows_and_preserves():
     # normalized rows are bit-identical, the dot summation order is BLAS's
     f = np.random.default_rng(14).uniform(-1, 1, (3, spec.embed_dim))
     np.testing.assert_array_equal(
-        T.l2_normalize(state.classifier["weight"]).data,
-        T.l2_normalize(grown.classifier["weight"]).data[:4])
+        T.l2_normalize(state.classifier["weight"], axis=-1).data,
+        T.l2_normalize(grown.classifier["weight"], axis=-1).data[:4])
     before = M.cosine_scores(state, T.Tensor(f)).data
     after = M.cosine_scores(grown, T.Tensor(f)).data[:, :4]
     np.testing.assert_allclose(before, after, atol=1e-12)
@@ -356,7 +356,7 @@ def test_zero_blocks_valid(tmp_path):
     M.save_checkpoint(state, tmp_path / "model.cilm")
     loaded = M.load_checkpoint(tmp_path / "model.cilm")
     assert M.state_hash(loaded) == M.state_hash(state)
-    assert M.forward_features(loaded, toy_images(2, spec)).shape == (2, 32)
+    assert M.forward_features(loaded, toy_images(2, spec), mode="eval").shape == (2, 32)
 
 
 def test_checkpoint_bad_magic(tmp_path):
