@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import configparser
 import json
-import math
 from dataclasses import fields
 
 from .augment import AugmentConfig
-from .data import U16_MAX, ProtocolConfig
+from .data import ProtocolConfig, check_synthetic
 from .engine import TrainSettings
 from .errors import ConfigError
 from .memory import BudgetPolicy, PerClass, Total
@@ -194,19 +193,16 @@ def _validate(resolved: dict) -> None:
             f"{resolved['data']['source']!r}")
     if resolved["data"]["source"] == "file" and not resolved["data"]["path"]:
         raise ConfigError("data.path: required when data.source = file")
-    difficulty = resolved["data"]["difficulty"]
-    if not (math.isfinite(difficulty) and difficulty >= 0):
-        raise ConfigError(
-            f"data.difficulty: expected a finite number >= 0, got {difficulty!r}")
     if resolved["model"]["stem"] not in ("conv", "patchify"):
         raise ConfigError(
             f"model.stem: expected conv|patchify, got {resolved['model']['stem']!r}")
     if resolved["data"]["source"] == "synthetic":
-        for key in ("classes", "image_size", "channels"):
-            if resolved["data"][key] > U16_MAX:
-                raise ConfigError(
-                    f"data.{key}: expected at most {U16_MAX} (a u16 on disk), "
-                    f"got {resolved['data'][key]}")
+        d = resolved["data"]
+        try:
+            check_synthetic(d["classes"], d["per_class_train"], d["per_class_test"],
+                            d["image_size"], d["channels"], d["difficulty"])
+        except ConfigError as exc:
+            raise ConfigError(f"data.{exc}") from None
         build_model_spec(resolved, resolved["data"]["image_size"],
                          resolved["data"]["channels"])
 

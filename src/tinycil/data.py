@@ -121,19 +121,28 @@ def _prototype(stream: SplitMix64, channels: int, size: int) -> np.ndarray:
     return 0.2 + 0.6 * (pattern - lo) / np.maximum(hi - lo, 1e-9)
 
 
+def check_synthetic(classes: int, per_class_train: int, per_class_test: int,
+                    image_size: int, channels: int, difficulty: float) -> None:
+    """Raise ConfigError, naming the first bad value by its config key, unless
+    these describe a synthetic dataset that CILD can store."""
+    for key, value in (("classes", classes), ("per_class_train", per_class_train),
+                       ("per_class_test", per_class_test), ("image_size", image_size),
+                       ("channels", channels)):
+        if value < 1:
+            raise ConfigError(f"{key}: expected at least 1, got {value}")
+        if value > U16_MAX and not key.startswith("per_class"):
+            raise ConfigError(f"{key}: expected at most {U16_MAX} (a u16 on disk), got {value}")
+    if not (math.isfinite(difficulty) and difficulty >= 0):
+        raise ConfigError(f"difficulty: expected a finite number >= 0, got {difficulty!r}")
+
+
 def generate_synthetic(num_classes: int, per_class_train: int,
                        per_class_test: int, image_size: int = 16,
                        channels: int = 3, difficulty: float = 0.5,
                        seed: int = 7) -> LabeledDataset:
     """Deterministic toy dataset: class prototypes plus scaled noise."""
-    if min(num_classes, per_class_train, per_class_test, image_size, channels) < 1:
-        raise ConfigError("all synthetic dataset counts must be >= 1")
-    for key, value in (("classes", num_classes), ("image_size", image_size),
-                       ("channels", channels)):
-        if value > U16_MAX:
-            raise ConfigError(f"{key} must be <= {U16_MAX} (a u16 on disk), got {value}")
-    if not (math.isfinite(difficulty) and difficulty >= 0):
-        raise ConfigError(f"difficulty must be finite and >= 0, got {difficulty!r}")
+    check_synthetic(num_classes, per_class_train, per_class_test, image_size,
+                    channels, difficulty)
     root = SplitMix64(seed)
     proto_stream = root.child("prototypes")
     noise_stream = root.child("noise")
@@ -142,11 +151,12 @@ def generate_synthetic(num_classes: int, per_class_train: int,
     images = np.empty((n, channels, image_size, image_size), dtype=np.uint8)
     for cid in range(num_classes):
         proto = _prototype(proto_stream, channels, image_size)
-        noise = noise_stream.normals((per_class, channels, image_size, image_size),
-                                     std=NOISE_BASE_STD * difficulty)
-        samples = np.clip(proto[None] + noise, 0.0, 1.0)
-        images[cid * per_class:(cid + 1) * per_class] = \
-            np.round(samples * 255.0).astype(np.uint8)
+        samples = noise_stream.normals((per_class, channels, image_size, image_size),
+                                       std=NOISE_BASE_STD * difficulty)
+        np.add(proto, samples, out=samples)
+        np.clip(samples, 0.0, 1.0, out=samples)
+        samples *= 255.0
+        images[cid * per_class:(cid + 1) * per_class] = np.round(samples, out=samples)
     in_class = np.arange(n) % per_class     # each class: train rows, then test
     return LabeledDataset(images=images, labels=np.arange(n) // per_class,
                           train_indices=np.flatnonzero(in_class < per_class_train),

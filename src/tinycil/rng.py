@@ -17,6 +17,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
+_DRAW_BLOCK = 1 << 15      # draws per pass of `uniforms` and `normals`
 
 
 def _mix64(z: int) -> int:
@@ -34,11 +35,13 @@ def _fnv1a64(data: bytes) -> int:
     return h
 
 
-def _mix64_vec(z: np.ndarray) -> np.ndarray:
-    # vectorized _mix64; uint64 arithmetic wraps modulo 2**64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def _mix64_inplace(z: np.ndarray) -> None:
+    # vectorized _mix64 over z; uint64 arithmetic wraps modulo 2**64
+    tmp = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB), (31, 0)):
+        z ^= np.right_shift(z, np.uint64(shift), out=tmp)
+        if mult:
+            z *= np.uint64(mult)
 
 
 class SplitMix64:
@@ -71,13 +74,18 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def uniforms(self, n: int) -> np.ndarray:
-        """n uniform draws, bit-identical to n calls of `uniform` but batched."""
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        ks = np.arange(1, n + 1, dtype=np.uint64)
-        states = np.uint64(self._state) + ks * np.uint64(_GAMMA)
-        self._state = int(states[-1])
-        return (_mix64_vec(states) >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+        """n uniform draws, bit-identical to n calls of `uniform`, computed in
+        place _DRAW_BLOCK at a time so the scratch does not grow with n."""
+        out = np.empty(n)
+        for start in range(0, n, _DRAW_BLOCK):
+            z = np.arange(1, min(_DRAW_BLOCK, n - start) + 1, dtype=np.uint64)
+            z *= np.uint64(_GAMMA)
+            z += np.uint64(self._state)
+            self._state = int(z[-1])
+            _mix64_inplace(z)
+            out[start:start + len(z)] = np.right_shift(z, np.uint64(11), out=z)
+        out *= 1.0 / (1 << 53)
+        return out
 
     def normal(self) -> float:
         """Standard normal via Box-Muller; two draws per value, no caching."""
@@ -86,10 +94,17 @@ class SplitMix64:
         return math.sqrt(-2.0 * math.log(1.0 - u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, shape, std: float = 1.0) -> np.ndarray:
-        size = int(np.prod(shape)) if shape else 1
-        u = self.uniforms(2 * size)
-        out = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
-        return (out * std).reshape(shape)
+        """Box-Muller over `uniforms`, in place, _DRAW_BLOCK draws at a time."""
+        out = np.empty(int(np.prod(shape)) if shape else 1)
+        for start in range(0, out.size, _DRAW_BLOCK // 2):
+            radius = out[start:start + _DRAW_BLOCK // 2]
+            u = self.uniforms(2 * radius.size)
+            np.log(np.subtract(1.0, u[0::2], out=radius), out=radius)
+            np.sqrt(np.multiply(radius, -2.0, out=radius), out=radius)
+            angle = np.multiply(u[1::2], 2.0 * np.pi)
+            radius *= np.cos(angle, out=angle)
+        out *= std
+        return out.reshape(shape)
 
     def gamma(self, alpha: float) -> float:
         """Gamma(alpha, 1) via Marsaglia-Tsang, boosted for alpha < 1."""

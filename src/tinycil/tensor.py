@@ -243,6 +243,10 @@ def backward(tape: Tape, loss: Tensor) -> None:
         for inp, g in zip(node.inputs, grads):
             if g is None or not _tracked(inp, tape):
                 continue
+            if g.shape != inp.shape:
+                op = node.backward_fn.__qualname__.split(".")[0]   # op.<locals>._bw
+                raise TapeError(f"{op} backward returned a gradient of shape "
+                                f"{g.shape} for an input of shape {inp.shape}")
             inp.grad = g if inp.grad is None else inp.grad + g
 
 
@@ -391,6 +395,8 @@ def gelu(a) -> Tensor:
     phi = _erf(a.data * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
+    if not _needs_grad(a):                # no backward reads phi: reuse it
+        return Tensor(np.multiply(a.data, phi, out=phi))
     out = Tensor(a.data * phi)
 
     def _bw(g):
@@ -433,7 +439,9 @@ def linear(x, w, b) -> Tensor:
                          f"got {x.shape}, {w.shape} and {b.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dimensions differ: {x.shape} x {w.shape}")
-    out = Tensor(np.matmul(x.data, w.data) + b.data)
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y)
     want_dx = _needs_grad(x)
 
     def _bw(g):
@@ -740,7 +748,7 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes) -> Tensor:
     a = _coerce(a)
     out = Tensor(a.data.transpose(axes))
-    inv = np.argsort(axes)
+    inv = np.argsort([ax % a.data.ndim for ax in axes])
     return _record(out, (a,), lambda g: (
         np.ascontiguousarray(g.transpose(inv)),))
 
@@ -777,6 +785,7 @@ def take(a, indices, axis: int) -> Tensor:
     if idx.ndim != 1:
         raise ShapeError(f"take expects 1-d indices, got shape {idx.shape}")
     out = Tensor(np.take(a.data, idx, axis=axis))
+    axis %= a.data.ndim
 
     def _bw(g):
         dx = np.zeros_like(a.data)

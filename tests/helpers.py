@@ -1,5 +1,5 @@
 """Shared test utilities: finite-difference gradient oracle, GC switch,
-greedy herding oracle, fresh interpreters."""
+greedy herding oracle, one-shot random-draw oracles, fresh interpreters."""
 
 from __future__ import annotations
 
@@ -80,3 +80,24 @@ def greedy_sq_oracle(features: np.ndarray, budget: int) -> list[int]:
         chosen.append(rest.pop(best))
         running += features[chosen[-1]]
     return chosen
+
+
+def one_shot_uniforms(stream, n: int) -> np.ndarray:
+    """`SplitMix64.uniforms` as one formula over all n states at once;
+    advances `stream` past them."""
+    states = np.uint64(stream._state) + (np.arange(1, n + 1, dtype=np.uint64)
+                                         * np.uint64(0x9E3779B97F4A7C15))
+    if n:
+        stream._state = int(states[-1])
+    z = (states ^ (states >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
+def one_shot_normals(stream, shape, std: float) -> np.ndarray:
+    """`SplitMix64.normals` as one Box-Muller formula over `one_shot_uniforms`."""
+    size = int(np.prod(shape)) if shape else 1
+    u = one_shot_uniforms(stream, 2 * size)
+    out = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
+    return (out * std).reshape(shape)

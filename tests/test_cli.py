@@ -284,6 +284,21 @@ def test_out_of_range_values_rejected(section, key, value, match):
         materialize(raw)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("classes", 70000), ("image_size", 65536), ("channels", 70000),
+    ("classes", 0), ("per_class_train", 0), ("per_class_test", 0),
+    ("difficulty", float("nan")), ("difficulty", -5.0)])
+def test_config_and_generator_reject_synthetic_data_in_the_same_words(key, value):
+    d = dict(DEFAULTS["data"], **{key: value})
+    with pytest.raises(ConfigError) as from_config:
+        materialize({"data": {key: str(value)}})
+    with pytest.raises(ConfigError) as from_data:
+        generate_synthetic(d["classes"], d["per_class_train"], d["per_class_test"],
+                           d["image_size"], d["channels"], d["difficulty"])
+    assert str(from_data.value).startswith(f"{key}: ")
+    assert str(from_config.value) == f"data.{from_data.value}"
+
+
 def test_nan_difficulty_exit_2_before_training(tmp_path, capsys):
     path = tmp_path / "nan.ini"
     path.write_text("[data]\ndifficulty = nan\n")

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,29 @@ def test_same_seed_bit_identical():
     b = generate_synthetic(4, 6, 3, seed=9)
     np.testing.assert_array_equal(a.images, b.images)
     np.testing.assert_array_equal(a.labels, b.labels)
+
+
+# images of generate_synthetic(20, 64, 40, seed=11): computing the draws in
+# blocks and in place must not move a bit
+SYNTHETIC_20_64_40_SHA256 = \
+    "9375a80b3b047bc9697ceba1e0f01f80a12db9879f51f8dab6c5614c3c27ca43"
+
+
+def test_synthetic_images_keep_their_bits():
+    ds = generate_synthetic(20, 64, 40, seed=11)
+    assert hashlib.sha256(ds.images.tobytes()).hexdigest() == SYNTHETIC_20_64_40_SHA256
+
+
+def test_synthetic_generation_peaks_below_three_times_its_images():
+    # the draws run in place, in fixed blocks: the scratch beside the
+    # images is one class's samples plus one block of draws
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic(20, 64, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * ds.images.nbytes, peak / ds.images.nbytes
 
 
 def test_split_shapes_and_counts():

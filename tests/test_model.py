@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -416,7 +417,7 @@ def _u8_images(n, spec):
 @pytest.mark.parametrize("flip", [False, True])
 def test_embed_is_bitwise_the_serial_chunked_forward(stem, flip, monkeypatch):
     state = _embed_state(stem)
-    counts = (0, 1, 127, 128, 129, 300)
+    counts = (0, 1, M.EMBED_CHUNK - 1, M.EMBED_CHUNK, M.EMBED_CHUNK + 1, 300)
     expected = {}
     for n in counts:
         images = _u8_images(n, state.spec)
@@ -451,7 +452,32 @@ def test_embed_forwards_each_chunk_once(monkeypatch):
 
     monkeypatch.setattr(M, "forward_features", spy)
     M.embed(state, _u8_images(300, state.spec))
-    assert sorted(seen) == [(44, "eval"), (128, "eval"), (128, "eval")]
+    full, rest = divmod(300, M.EMBED_CHUNK)
+    assert sorted(seen) == sorted([(M.EMBED_CHUNK, "eval")] * full + [(rest, "eval")])
+
+
+# Traced peak of one eval forward of EMBED_CHUNK images on the benchmark
+# workloads' conv spec, which each `embed` worker holds: the measured 4.72 MiB
+# at 80 images plus a margin. 128 images with a copied bias sum and GELU
+# output take 8.0 MiB.
+CHUNK_FORWARD_PEAK_BOUND = 5.25 * 2**20
+
+
+def test_an_eval_forward_of_one_chunk_stays_under_its_bound():
+    spec = M.ModelSpec(image_size=16, in_channels=3, stem_kind="conv", stem_depth=2,
+                       stem_channels=(16, 32), embed_dim=32, num_blocks=2,
+                       num_heads=2, mlp_ratio=4.0, num_classes=10)
+    state = M.init_model(spec, SplitMix64(1))
+    images = T.Tensor(np.random.default_rng(2).uniform(0.0, 1.0,
+                                                        (M.EMBED_CHUNK, 3, 16, 16)))
+    M.forward_features(state, images, mode="eval")          # warm up
+    tracemalloc.start()
+    try:
+        M.forward_features(state, images, mode="eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < CHUNK_FORWARD_PEAK_BOUND, peak / 2**20
 
 
 def test_embed_inside_a_tape_records_nothing():

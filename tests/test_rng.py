@@ -5,6 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from helpers import one_shot_normals, one_shot_uniforms
+
+from tinycil.rng import _DRAW_BLOCK as BLOCK
 from tinycil.rng import SplitMix64
 
 # Known SplitMix64 outputs for seed 1234567 (as published with the algorithm's
@@ -40,6 +43,25 @@ def test_vectorized_normals_match_scalar():
     batch = a.normals((10,))
     singles = np.array([b.normal() for _ in range(10)])
     np.testing.assert_allclose(batch, singles, rtol=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 100_000])
+def test_blocked_uniforms_are_the_one_shot_formula(n):
+    a, b = SplitMix64(99), SplitMix64(99)
+    a.next_u64(), b.next_u64()                 # start mid-stream
+    assert a.uniforms(n).tobytes() == one_shot_uniforms(b, n).tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (BLOCK // 2 - 1,), (BLOCK // 2,),
+                                   (BLOCK // 2 + 1,), (104, 3, 16, 16)])
+@pytest.mark.parametrize("std", [1.0, 0.125])
+def test_blocked_normals_are_the_one_shot_formula(shape, std):
+    a, b = SplitMix64(7), SplitMix64(7)
+    got = a.normals(shape, std=std)
+    want = one_shot_normals(b, shape, std)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert a.next_u64() == b.next_u64()
 
 
 def test_children_are_order_independent():

@@ -87,6 +87,17 @@ def test_linear_is_matmul_plus_bias():
     np.testing.assert_array_equal(out.data, np.matmul(x, w) + b)
 
 
+def test_untaped_linear_is_bitwise_the_taped_forward_and_records_no_node():
+    rng = RNG(3)
+    x, w, b = rng.normal(size=(2, 5, 4)), rng.normal(size=(4, 3)), rng.normal(size=3)
+    with T.Tape() as tape:
+        plain = T.linear(T.Tensor(x), T.Tensor(w), T.Tensor(b))
+        assert len(tape) == 0
+        taped = T.linear(T.Tensor(x), T.Tensor(w, requires_grad=True), T.Tensor(b))
+    assert len(tape) == 1
+    assert plain.data.tobytes() == taped.data.tobytes()
+
+
 def test_linear_shape_error_names_shapes():
     with pytest.raises(ShapeError) as e:
         T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))),
@@ -437,6 +448,20 @@ def test_backward_releases_each_node_as_it_walks():
             T.backward(tape, loss)
 
 
+def _flipped(a):
+    """`2 * a`, with a backward that returns its gradient transposed."""
+    return T._record(T.Tensor(a.data * 2.0), (a,), lambda g: (g.T * 2.0,))
+
+
+def test_backward_rejects_a_gradient_of_another_shape():
+    x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+    with T.Tape() as tape:
+        loss = T.sum_(_flipped(x))
+    with pytest.raises(TapeError, match=r"^_flipped backward .*\(3, 2\).*\(2, 3\)"):
+        T.backward(tape, loss)
+    assert x.grad is None
+
+
 def test_backward_non_scalar_raises():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.Tape() as tape:
@@ -535,6 +560,25 @@ def test_relu_gelu_grads_vs_fd():
     x[np.abs(x) < 0.1] += 0.2  # keep away from the relu kink
     _check_grads(lambda t: T.sum_(T.relu(t)), [x.copy()])
     _check_grads(lambda t: T.sum_(T.gelu(t)), [x.copy()], tol=1e-5)
+
+
+def test_gelu_grad_vs_fd_outside_the_unit_interval():
+    # |x| > 1 takes `_erf`'s other branch
+    x = RNG(13).uniform(-4.0, 4.0, (3, 5))
+    _check_grads(lambda t: T.sum_(T.mul(T.gelu(t), t)), [x], tol=1e-5)
+
+
+def test_untaped_gelu_is_bitwise_the_taped_forward_and_records_no_node():
+    x = RNG(14).uniform(-4.0, 4.0, (3, T._ERF_BLOCK // 3 + 5))
+    x[0, :len(ERF_EDGES)] = ERF_EDGES
+    before = x.copy()
+    with T.Tape() as tape, np.errstate(invalid="ignore"):     # -inf * 0
+        plain = T.gelu(T.Tensor(x))
+        assert len(tape) == 0
+        taped = T.gelu(T.Tensor(x, requires_grad=True))
+    assert len(tape) == 1
+    assert plain.data.tobytes() == taped.data.tobytes()
+    assert x.tobytes() == before.tobytes()         # the input is not written
 
 
 # Edge values of Cephes' erf: signed zeros, the |x| = 1 and x = 8 branch
@@ -696,6 +740,23 @@ def test_take_ops_grads_vs_fd():
         return T.sum_(T.mul(picked, picked))
 
     _check_grads(loss, [x])
+
+
+@pytest.mark.parametrize("axis", [1, -1, -2])
+def test_take_grads_vs_fd_on_any_axis(axis):
+    x = RNG(18).uniform(-1, 1, (3, 4, 5))
+    rows = np.array([0, 2, 2])
+    _check_grads(lambda t: T.sum_(T.mul(T.take(t, rows, axis=axis),
+                                        T.take(t, rows, axis=axis))), [x])
+
+
+@pytest.mark.parametrize("shape,axes", [((3, 4), (-1, 0)), ((2, 3, 4), (0, -1, 1)),
+                                        ((2, 3, 4), (-2, -3, -1))])
+def test_transpose_grads_vs_fd_with_negative_axes(shape, axes):
+    rng = RNG(16)
+    x = rng.uniform(-1, 1, shape)
+    w = rng.uniform(-1, 1, x.transpose(axes).shape)
+    _check_grads(lambda t: T.sum_(T.mul(T.transpose(t, axes), w)), [x])
 
 
 def test_l2_normalize_grads_and_value():
