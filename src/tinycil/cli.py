@@ -228,7 +228,7 @@ def compare_runs(run_dirs, out_dir: Path) -> int:
     for run in runs:
         accs = [r.top1 for r in run["reports"]]
         avg = average_incremental_accuracy(accs)
-        avg_excl = (average_incremental_accuracy(accs, include_initial=False)
+        avg_excl = (average_incremental_accuracy(accs[1:])
                     if len(accs) > 1 else avg)
         avg_rows.append([run["name"], avg, avg_excl])
         series.append((f"{run['name']} [{100 * avg:.2f}]",

@@ -22,8 +22,8 @@ from .errors import ConfigError, TrainingDiverged
 from .memory import ExemplarStore, herding_select, per_class_budget
 from .metrics import StepReport, evaluate, old_to_new_bias_rate
 from .model import (ModelSpec, ModelState, clamp_temperature, clone_state,
-                    cosine_logits, cosine_scores, embed, embed_chunks,
-                    expand_classifier, forward_features, head_probs, init_model)
+                    cosine_logits, cosine_scores, embed, expand_classifier,
+                    forward_features, head_probs, init_model)
 from .optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from .rng import SplitMix64
 from .tensor import Tensor
@@ -272,9 +272,11 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
 def _frozen_views(state: ModelState, images_u8: np.ndarray, hflip: bool):
     """`rows(idx, flipped)`: eval-mode features of a `state` that does not
     train, for `images_u8[idx]`, mirrored where `flipped` is set. Each image
-    is embedded once, and once more as its mirror when `hflip` is on."""
-    feats = embed(state, images_u8)
-    mirrored = embed(state, images_u8, flip=True) if hflip else None
+    is embedded once, and once more as its mirror, the view
+    `images_u8[..., ::-1]`, when `hflip` is on."""
+    every = np.arange(len(images_u8))
+    feats = embed(state, images_u8, every)
+    mirrored = embed(state, images_u8[..., ::-1], every) if hflip else None
 
     def rows(idx, flipped):
         out = feats[idx]
@@ -374,19 +376,16 @@ def construct_exemplars(state: ModelState, dataset: LabeledDataset,
                         class_ids, budget: int) -> dict[int, np.ndarray]:
     """Herd each class's training images with the current (stage-1) model.
 
-    One pooled `embed_chunks` pass covers every class, its chunks crossing
-    class boundaries; each class is herded as soon as its rows are in.
+    One pooled `embed` pass covers every class, its chunks crossing class
+    boundaries; each class is then herded from its slice of the features.
     """
     idx = [dataset.class_indices("train", int(cid)) for cid in class_ids]
-    feats, chunks = embed_chunks(
-        state, dataset.images, np.concatenate([np.zeros(0, np.int64), *idx]), False)
+    feats = embed(state, dataset.images, np.concatenate([np.zeros(0, np.int64), *idx]))
     out: dict[int, np.ndarray] = {}
-    done = end = 0
+    end = 0
     for cid, rows in zip(class_ids, idx):
+        f = T.l2_normalize(feats[end:end + len(rows)], axis=-1).data
         end += len(rows)
-        while done < end:
-            done = next(chunks)
-        f = T.l2_normalize(feats[end - len(rows):end], axis=-1).data
         out[int(cid)] = dataset.images[rows[herding_select(f, budget)]]
     return out
 

@@ -106,11 +106,8 @@ def old_to_new_bias_rate(cm: np.ndarray, n_old: int) -> float:
     return float(cm[:n_old, n_old:].sum() / old_total)
 
 
-def average_incremental_accuracy(step_accuracies,
-                                 include_initial: bool = True) -> float:
+def average_incremental_accuracy(step_accuracies) -> float:
     accs = list(step_accuracies)
-    if not include_initial:
-        accs = accs[1:]
     if not accs:
         raise ConfigError("no step accuracies to average")
     return float(np.mean(accs))
@@ -123,7 +120,7 @@ def evaluate(state: ModelState, images: np.ndarray, labels: np.ndarray,
     if state.spec.num_classes < n_classes:
         raise ConfigError(
             f"model has {state.spec.num_classes} classes, asked for {n_classes}")
-    probs = cosine_logits(state, Tensor(embed(state, images))).data
+    probs = cosine_logits(state, Tensor(embed(state, images, np.arange(len(images))))).data
     cm = confusion_matrix(labels, probs[:, :n_classes].argmax(axis=1), n_classes)
     top1 = float(np.trace(cm) / cm.sum()) if cm.sum() else 0.0
     return top1, cm

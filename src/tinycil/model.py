@@ -294,35 +294,25 @@ def forward_features(state: ModelState, images, mode: str) -> Tensor:
                         state.backbone["final_norm_bias"])
 
 
-def embed_chunks(state: ModelState, images_u8: np.ndarray, rows: np.ndarray,
-                 flip: bool):
-    """Eval-mode features of `images_u8[rows]`, optionally mirrored (by view),
-    and an iterator that yields, in chunk order, how many leading rows are filled.
-    EMBED_CHUNK-row chunks run on the pool and gather and write their own
-    rows; no image's feature depends on the others, so neither does the
+def embed(state: ModelState, images_u8: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Eval-mode features of `images_u8[rows]`; pass `images_u8[..., ::-1]`
+    for the mirrored images. EMBED_CHUNK-row chunks run on the pool and
+    gather and write their own rows, so no gathered copy of the images is
+    made; no image's feature depends on the others, so neither does the
     result. Workers open no tape, so a caller's `Tape` records nothing. A
-    chunk's error is raised by the iterator.
+    chunk's error is raised by the call.
     """
     if images_u8.dtype != np.uint8:
         raise TypeError(f"embed takes uint8 images, got {images_u8.dtype}")
     feats = np.empty((len(rows), state.spec.embed_dim))
 
-    def run_chunk(start: int) -> int:
+    def run_chunk(start: int) -> None:
         chunk = images_u8[rows[start:start + EMBED_CHUNK]].astype(np.float64)
         chunk /= 255.0
-        if flip:
-            chunk = chunk[..., ::-1]
         feats[start:start + len(chunk)] = forward_features(
             state, Tensor(chunk), mode="eval").data
-        return start + len(chunk)
 
-    return feats, _EMBED_POOL.map(run_chunk, range(0, len(rows), EMBED_CHUNK))
-
-
-def embed(state: ModelState, images_u8: np.ndarray, flip: bool = False) -> np.ndarray:
-    """Eval-mode features of every image in `images_u8` (see `embed_chunks`)."""
-    feats, chunks = embed_chunks(state, images_u8, np.arange(len(images_u8)), flip)
-    list(chunks)                                  # wait for every chunk
+    list(_EMBED_POOL.map(run_chunk, range(0, len(rows), EMBED_CHUNK)))
     return feats
 
 
@@ -387,10 +377,6 @@ def state_hash(state: ModelState, include_classifier: bool = True) -> str:
         h.update(str(arr.shape).encode())
         h.update(np.ascontiguousarray(arr).tobytes())
     return h.hexdigest()
-
-
-def parameter_count(state: ModelState) -> dict[str, int]:
-    return {name: t.size for name, t in state.named_parameters().items()}
 
 
 # ---------------------------------------------------------------------------

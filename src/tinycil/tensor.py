@@ -158,9 +158,6 @@ class Tensor:
     def __getitem__(self, key):
         return index(self, key)
 
-    def sum(self, axis=None):
-        return sum_(self, axis=axis)
-
 
 class _Node:
     __slots__ = ("out", "inputs", "backward_fn")

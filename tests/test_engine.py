@@ -602,10 +602,12 @@ def test_non_finite_gradient_names_its_step_epoch_and_batch(monkeypatch):
 
 # --- herding: one pooled pass over every requested class ---------------------
 
-# training images per class, in the order the tests request the classes: the
-# cumulative ends 1, 129, 256, 656, 704 and 833 fall inside, just past and on
-# the 128-row chunk boundaries
-HERD_SIZES = {0: 1, 3: 128, 2: 127, 5: 400, 1: 48, 4: 129}
+# training images per class, in the order the tests request the classes: with
+# C = EMBED_CHUNK, the cumulative ends 1, C + 1, 2C, 5C + 1, 5C + 1 + C // 2
+# and 6C + 4 + C // 2 fall inside, just past and on the chunk boundaries
+CHUNK = M.EMBED_CHUNK
+HERD_SIZES = {0: 1, 3: CHUNK, 2: CHUNK - 1, 5: 3 * CHUNK + 1, 1: CHUNK // 2,
+              4: CHUNK + 3}
 HERD_BUDGET = 20
 
 

@@ -88,15 +88,14 @@ def test_average_simple():
 
 
 def test_average_excluding_initial():
-    assert average_incremental_accuracy([0.9, 0.7, 0.5],
-                                        include_initial=False) == pytest.approx(0.6)
+    assert average_incremental_accuracy([0.9, 0.7, 0.5][1:]) == pytest.approx(0.6)
 
 
 def test_average_empty_rejected():
     with pytest.raises(ConfigError):
         average_incremental_accuracy([])
     with pytest.raises(ConfigError):
-        average_incremental_accuracy([0.5], include_initial=False)
+        average_incremental_accuracy([0.5][1:])
 
 
 def test_average_is_order_insensitive():

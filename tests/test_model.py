@@ -121,10 +121,9 @@ def test_patchify_identity_weights_reproduce_pixels():
 def test_param_counts_differ_only_in_stem():
     conv = M.init_model(toy_spec(stem_kind="conv"), SplitMix64(6))
     patch = M.init_model(toy_spec(), SplitMix64(6))
-    conv_counts = {k: v for k, v in M.parameter_count(conv).items()
-                   if not k.startswith("backbone.stem.")}
-    patch_counts = {k: v for k, v in M.parameter_count(patch).items()
-                    if not k.startswith("backbone.stem.")}
+    conv_counts, patch_counts = (
+        {k: t.data.size for k, t in state.named_parameters().items()
+         if not k.startswith("backbone.stem.")} for state in (conv, patch))
     assert conv_counts == patch_counts
 
 
@@ -161,7 +160,7 @@ def _features_and_grads(forward, state, images, mode):
     weights = np.random.default_rng(1).normal(size=(len(images), state.spec.embed_dim))
     with T.Tape() as tape:
         feats = forward(state, images, mode)
-        loss = (feats * weights).sum()
+        loss = T.sum_(feats * weights)
     T.backward(tape, loss)
     return feats.data, {k: v.grad for k, v in state.backbone.items()}
 
@@ -421,7 +420,7 @@ def test_embed_is_bitwise_the_serial_chunked_forward(stem, flip, monkeypatch):
     expected = {}
     for n in counts:
         images = _u8_images(n, state.spec)
-        got = M.embed(state, images, flip=flip)
+        got = M.embed(state, images[..., ::-1] if flip else images, np.arange(n))
         assert got.shape == (n, state.spec.embed_dim)
         # the pool's chunks, and 512-image chunks, run one after another
         for chunk in (M.EMBED_CHUNK, 512):
@@ -435,7 +434,9 @@ def test_embed_is_bitwise_the_serial_chunked_forward(stem, flip, monkeypatch):
             sys.setswitchinterval(1e-6)
             try:
                 for n in counts:
-                    got = M.embed(state, _u8_images(n, state.spec), flip=flip)
+                    images = _u8_images(n, state.spec)
+                    got = M.embed(state, images[..., ::-1] if flip else images,
+                                  np.arange(n))
                     assert np.array_equal(got, expected[n]), (workers, n)
             finally:
                 sys.setswitchinterval(interval)
@@ -451,7 +452,7 @@ def test_embed_forwards_each_chunk_once(monkeypatch):
         return forward(st, images, mode)
 
     monkeypatch.setattr(M, "forward_features", spy)
-    M.embed(state, _u8_images(300, state.spec))
+    M.embed(state, _u8_images(300, state.spec), np.arange(300))
     full, rest = divmod(300, M.EMBED_CHUNK)
     assert sorted(seen) == sorted([(M.EMBED_CHUNK, "eval")] * full + [(rest, "eval")])
 
@@ -484,17 +485,41 @@ def test_embed_inside_a_tape_records_nothing():
     state = _embed_state("conv")
     images = _u8_images(300, state.spec)
     with T.Tape() as tape:
-        feats = M.embed(state, images, flip=True)
+        feats = M.embed(state, images[..., ::-1], np.arange(300))
         assert T.active_tape() is tape
     assert len(tape) == 0
     assert np.array_equal(feats, _serial_embed(state, images, True, M.EMBED_CHUNK))
 
 
-def test_embed_raises_a_chunk_error_and_keeps_working():
+@pytest.mark.parametrize("stem", ["patchify", "conv"])
+def test_embed_of_rows_is_the_serial_forward_of_those_images(stem):
+    state = _embed_state(stem)
+    images = _u8_images(200, state.spec)
+    # rows repeat (7 and every multiple of 6 up to 144), skip (odd rows that
+    # are not multiples of 3, and every row above 150) and cross a chunk boundary
+    rows = np.r_[np.arange(150, 0, -2), np.arange(0, 150, 3), [7, 7]]
+    assert len(rows) > M.EMBED_CHUNK
+    for view, flip in ((images, False), (images[..., ::-1], True)):
+        assert np.array_equal(M.embed(state, view, rows),
+                              _serial_embed(state, images[rows], flip, M.EMBED_CHUNK))
+
+
+def test_embed_raises_a_chunk_error_and_keeps_working(monkeypatch):
     state = _embed_state("conv")
     wrong = np.zeros((300, 3, 8, 8), dtype=np.uint8)      # spec wants 16x16
     with pytest.raises(ShapeError, match=r"expected images \[b, 3, 16, 16\]"):
-        M.embed(state, wrong)
-    images = _u8_images(129, state.spec)
-    assert np.array_equal(M.embed(state, images),
+        M.embed(state, wrong, np.arange(300))
+    forward = M.forward_features
+
+    def fail_short_chunk(st, images, mode="eval"):
+        if images.shape[0] < M.EMBED_CHUNK:
+            raise RuntimeError("chunk failed")
+        return forward(st, images, mode)
+
+    images = _u8_images(2 * M.EMBED_CHUNK + 1, state.spec)
+    with monkeypatch.context() as m:                # only the last chunk fails
+        m.setattr(M, "forward_features", fail_short_chunk)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            M.embed(state, images, np.arange(len(images)))
+    assert np.array_equal(M.embed(state, images, np.arange(len(images))),
                           _serial_embed(state, images, False, M.EMBED_CHUNK))
