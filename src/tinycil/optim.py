@@ -55,41 +55,57 @@ def lr_at_epoch(peak: float, floor: float, epoch: int, total_epochs: int,
 
 class AdamW:
     """Decoupled weight decay Adam over the tensors its groups hold, with β1,
-    β2 and ε fixed at BETA1, BETA2 and ADAM_EPS."""
+    β2 and ε fixed at BETA1, BETA2 and ADAM_EPS. Each tensor's `.data` becomes
+    its view of one vector, group after group, and a step updates one group's
+    slice at a time; a tensor whose `.grad` is None keeps its data and moments."""
 
     def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
-        self._m = {n: np.zeros_like(p.data) for n, p in self._params().items()}
-        self._v = {n: np.zeros_like(p.data) for n, p in self._params().items()}
+        self._named = [(name, p) for g in groups for name, p in g.params.items()]
+        if (len({name for name, _ in self._named}) < len(self._named)
+                or len({id(p) for _, p in self._named}) < len(self._named)):
+            raise ConfigError("a parameter appears in more than one optimizer group")
+        self._data = np.concatenate([p.data for _, p in self._named], axis=None)
+        self._grad = np.empty_like(self._data)
+        self._m, self._v = np.zeros((2, self._data.size))
         self._t = 0
-
-    def _params(self) -> dict[str, Tensor]:
-        return {name: p for g in self.groups for name, p in g.params.items()}
+        self._tensor_spans, self._group_spans, start = [], [], 0
+        for group in groups:
+            first = start
+            for p in group.params.values():
+                stop = start + p.data.size
+                p.data = self._data[start:stop].reshape(p.data.shape)
+                self._tensor_spans.append((group, start, stop))
+                start = stop
+            self._group_spans.append((group, first, start))
 
     def zero_grad(self) -> None:
-        for t in self._params().values():
-            t.grad = None
+        for _, p in self._named:
+            p.grad = None
 
     def step(self, lrs: dict[str, float]) -> None:
         """One update; `lrs` maps group name to this step's learning rate."""
-        for name, p in self._params().items():
-            if p.grad is not None and not np.isfinite(p.grad).all():
-                raise TrainingDiverged(f"non-finite gradient in {name!r}")
+        grads = [p.grad for _, p in self._named]
+        spans = self._group_spans
+        if any(g is None for g in grads):
+            spans = [span for span, g in zip(self._tensor_spans, grads) if g is not None]
+            grads = [np.zeros(p.size) if g is None else g for g, (_, p) in zip(grads, self._named)]
+        np.concatenate(grads, axis=None, out=self._grad)
+        if not np.isfinite(self._grad).all():
+            for name, p in self._named:
+                if p.grad is not None and not np.isfinite(p.grad).all():
+                    raise TrainingDiverged(f"non-finite gradient in {name!r}")
         self._t += 1
         bc1 = 1.0 - BETA1 ** self._t
         bc2 = 1.0 - BETA2 ** self._t
-        for group in self.groups:
+        for group, start, stop in spans:
             lr = lrs[group.name]
-            for name, p in group.params.items():
-                g = p.grad
-                if g is None:
-                    continue
-                if group.weight_decay:
-                    p.data *= (1.0 - lr * group.weight_decay)
-                m = self._m[name]
-                v = self._v[name]
-                m *= BETA1
-                m += (1.0 - BETA1) * g
-                v *= BETA2
-                v += (1.0 - BETA2) * (g * g)
-                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+            p, g = self._data[start:stop], self._grad[start:stop]
+            m, v = self._m[start:stop], self._v[start:stop]
+            if group.weight_decay:
+                p *= (1.0 - lr * group.weight_decay)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

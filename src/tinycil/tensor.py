@@ -32,6 +32,7 @@ thread. numpy is the only dependency: `_erf` is scipy's erf, bit for bit.
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import threading
 import warnings
@@ -193,10 +194,6 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _tracked(t: Tensor, tape: Tape) -> bool:
-    return t.requires_grad or t._tape is tape
-
-
 def _needs_grad(t: Tensor) -> bool:
     """Whether an op recording now must form a gradient toward input t.
 
@@ -204,7 +201,7 @@ def _needs_grad(t: Tensor) -> bool:
     earlier tape, is a constant to the active tape.
     """
     tape = active_tape()
-    return tape is not None and _tracked(t, tape)
+    return tape is not None and (t.requires_grad or t._tape is tape)
 
 
 def _coerce(x) -> Tensor:
@@ -213,10 +210,12 @@ def _coerce(x) -> Tensor:
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = active_tape()
-    if tape is not None and any(_tracked(t, tape) for t in inputs):
-        out._tape = tape
-        out._node_index = len(tape._nodes)
-        tape._nodes.append(_Node(out, inputs, backward_fn))
+    if tape is not None:
+        for t in inputs:
+            if t.requires_grad or t._tape is tape:
+                out._tape, out._node_index = tape, len(tape._nodes)
+                tape._nodes.append(_Node(out, inputs, backward_fn))
+                break
     return out
 
 
@@ -238,7 +237,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
             continue
         grads = node.backward_fn(g_out)
         for inp, g in zip(node.inputs, grads):
-            if g is None or not _tracked(inp, tape):
+            if g is None or not (inp.requires_grad or inp._tape is tape):
                 continue
             if g.shape != inp.shape:
                 op = node.backward_fn.__qualname__.split(".")[0]   # op.<locals>._bw
@@ -511,8 +510,9 @@ def sum_(a, axis=None) -> Tensor:
 
 def mean(a, axis=None) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.mean(axis=axis))
-    count = a.data.size / out.data.size
+    total = np.add.reduce(a.data, axis)
+    count = a.data.size / np.size(total)
+    out = Tensor(total / count)
     return _record(out, (a,), lambda g: (
         np.ascontiguousarray(_expand_reduced(g, a.shape, axis)) / count,))
 
@@ -568,10 +568,13 @@ def _normalize(x: Tensor, gain: Tensor, bias: Tensor, axes, shared: tuple,
     """
     gshape = [1 if i in shared else -1 for i in range(x.data.ndim)]
     gain_b, bias_b = gain.data.reshape(gshape), bias.data.reshape(gshape)
-    mu, var = (x.data.mean(axis=axes, keepdims=True), None) if stats is None else stats
+    mu, var = (np.add.reduce(x.data, axes, keepdims=True), None) if stats is None else stats
+    count = x.data.size // mu.size              # the elements each statistic covers
+    if var is None:
+        mu /= count
     xhat = x.data - mu
     if var is None:
-        var = (xhat * xhat).mean(axis=axes, keepdims=True)
+        var = np.add.reduce(xhat * xhat, axes, keepdims=True) / count
     inv = 1.0 / np.sqrt(var + VAR_EPS)
     xhat *= inv
     out = Tensor(gain_b * xhat + bias_b)
@@ -582,8 +585,8 @@ def _normalize(x: Tensor, gain: Tensor, bias: Tensor, axes, shared: tuple,
         dxhat = g * gain_b
         if stats is not None:
             return dxhat * inv, dgain, dbias
-        dx = inv * (dxhat - dxhat.mean(axis=axes, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=axes, keepdims=True))
+        dx = inv * (dxhat - np.add.reduce(dxhat, axes, keepdims=True) / count
+                    - xhat * (np.add.reduce(dxhat * xhat, axes, keepdims=True) / count))
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), _bw), mu, var
@@ -639,11 +642,12 @@ def l2_normalize(a, axis: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolution
 
-def _taps(k: int, stride: int, padding: int, size: int, out: int) -> list:
-    """Per kernel offset along one axis: (lo, hi, src).
-
-    Output positions [lo, hi) read the input inside the image, through the
-    slice `src` of the unpadded axis; the others read the zero padding.
+@functools.lru_cache(maxsize=None)
+def _taps(k: int, stride: int, padding: int, size: int, out: int) -> tuple:
+    """Per kernel offset along one axis: (lo, hi, src). Output positions
+    [lo, hi) read the input inside the image, through the slice `src` of the
+    unpadded axis; the others read the zero padding. Cached per conv geometry,
+    so every caller shares one immutable tuple.
     """
     taps = []
     for i in range(k):
@@ -651,7 +655,7 @@ def _taps(k: int, stride: int, padding: int, size: int, out: int) -> list:
         hi = max(lo, min(out, (size - 1 - i + padding) // stride + 1))
         start = lo * stride + i - padding
         taps.append((lo, hi, slice(start, start + (hi - lo - 1) * stride + 1, stride)))
-    return taps
+    return tuple(taps)
 
 
 # Each row of the columns is padded by one cache line (8 float64s). Without

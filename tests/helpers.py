@@ -1,5 +1,6 @@
 """Shared test utilities: finite-difference gradient oracle, GC switch,
-greedy herding oracle, one-shot random-draw oracles, fresh interpreters."""
+greedy herding oracle, one-shot random-draw oracles, per-tensor AdamW oracle,
+fresh interpreters."""
 
 from __future__ import annotations
 
@@ -101,3 +102,37 @@ def one_shot_normals(stream, shape, std: float) -> np.ndarray:
     u = one_shot_uniforms(stream, 2 * size)
     out = np.sqrt(-2.0 * np.log(1.0 - u[0::2])) * np.cos(2.0 * np.pi * u[1::2])
     return (out * std).reshape(shape)
+
+
+class ReferenceAdamW:
+    """`optim.AdamW` as one loop over its tensors, with a moment pair per
+    tensor: the update a flat-vector optimizer must reproduce bit for bit.
+    A tensor whose `.grad` is None is skipped, its moments included."""
+
+    def __init__(self, groups):
+        self.groups = groups
+        params = {name: p for g in groups for name, p in g.params.items()}
+        self._m = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self._v = {n: np.zeros_like(p.data) for n, p in params.items()}
+        self._t = 0
+
+    def step(self, lrs: dict) -> None:
+        from tinycil.optim import ADAM_EPS, BETA1, BETA2
+        self._t += 1
+        bc1 = 1.0 - BETA1 ** self._t
+        bc2 = 1.0 - BETA2 ** self._t
+        for group in self.groups:
+            lr = lrs[group.name]
+            for name, p in group.params.items():
+                g = p.grad
+                if g is None:
+                    continue
+                if group.weight_decay:
+                    p.data *= (1.0 - lr * group.weight_decay)
+                m = self._m[name]
+                v = self._v[name]
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * (g * g)
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -730,3 +730,61 @@ def test_example_config_writes_the_recorded_exemplar_store(tmp_path, blas_thread
     for name, digest in EXAMPLE_ARTIFACT_SHA256.items():
         data = (tmp_path / "run" / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# a patchify-stem run with the margin-ranking loss on two incremental steps:
+# the taped attention/MLP path, the hinge and the optimizer that the conv-stem
+# pin above leaves out. Its summary, final checkpoint and final exemplar store
+# were recorded before the optimizer updated one flat parameter vector.
+PATCHIFY_MARGIN_INI = """
+[protocol]
+total_classes = 6
+initial_classes = 2
+increment = 2
+budget = per_class:10
+epochs_initial = 10
+epochs_step = 5
+
+[data]
+classes = 6
+per_class_train = 32
+per_class_test = 10
+image_size = 16
+seed = 5
+
+[model]
+stem = patchify
+patch_size = 4
+embed_dim = 32
+num_blocks = 2
+
+[train]
+batch_size = 16
+balanced_finetune = off
+
+[augment]
+hflip = off
+mixup = off
+cutmix = off
+margin_ranking = on
+
+[run]
+seed = 3
+"""
+PATCHIFY_MARGIN_SHA256 = {
+    "summary.csv": "cafb991d2e021e4a3ea1ec2138a21771cd5d881f0225b42c9661e34a924fed42",
+    "checkpoints/step_03.cilm":
+        "f47fee786a42d1d6ec8b3c369d9f9486a748f387d42b0e2f699a1f055cd87405",
+    "exemplars_03.cilx": "ab64ecef93851a44136d43e7379a84d498b667a88f3ad5e21c73a4c5a37ab5fc",
+}
+
+
+@pytest.mark.parametrize("blas_threads", ["1", "2"])
+def test_patchify_margin_run_writes_the_recorded_bytes(tmp_path, blas_threads):
+    config = tmp_path / "patchify_margin.ini"
+    config.write_text(PATCHIFY_MARGIN_INI)
+    run_fresh_python("-m", "tinycil", "run", "--config", str(config),
+                     "--out", str(tmp_path / "run"), OPENBLAS_NUM_THREADS=blas_threads)
+    for name, digest in PATCHIFY_MARGIN_SHA256.items():
+        data = (tmp_path / "run" / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, name

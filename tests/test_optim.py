@@ -15,6 +15,8 @@ from tinycil.optim import AdamW, ParamGroup, lr_at_epoch, scaled_base_lr
 from tinycil.rng import SplitMix64
 from tinycil.tensor import Tensor
 
+from helpers import ReferenceAdamW
+
 
 def _single(p, lr=1e-2, wd=0.0):
     params = {"w": p}
@@ -144,3 +146,45 @@ def test_zero_grads_helper():
     AdamW([ParamGroup("g", {"p": p}, base_lr=1e-3),
            ParamGroup("h", {"q": q}, base_lr=1e-3)]).zero_grad()
     assert p.grad is None and q.grad is None
+
+
+def test_flat_step_matches_the_per_tensor_oracle_bit_for_bit():
+    # every group kind of a stage-1 optimizer, the 1-element temperature
+    # included; LRs change every step, and at step 3 one tensor has no gradient
+    spec = ModelSpec(image_size=8, patch_size=4, embed_dim=16, num_blocks=2,
+                     num_classes=3)
+    settings = TrainSettings()
+    flat_state, ref_state = (init_model(spec, SplitMix64(4)) for _ in range(2))
+    flat_groups = build_param_groups(flat_state, settings)
+    ref_groups = build_param_groups(ref_state, settings)
+    assert [g.name for g in flat_groups] == ["backbone", "backbone_nodecay",
+                                             "classifier", "classifier_nodecay"]
+    assert flat_groups[3].params["classifier.temperature"].size == 1
+    flat, ref = AdamW(flat_groups), ReferenceAdamW(ref_groups)
+    flat_params, ref_params = flat_state.named_parameters(), ref_state.named_parameters()
+    skipped = "backbone.block0.ln1_gain"
+    rng = np.random.default_rng(0)
+    for step in range(8):
+        for name, p in flat_params.items():
+            g = None if step == 3 and name == skipped else rng.standard_normal(p.shape)
+            p.grad, ref_params[name].grad = g, None if g is None else g.copy()
+        lrs = {g.name: g.base_lr * (1.0 + step) / 8 for g in flat_groups}
+        before = flat_params[skipped].data.copy()
+        flat.step(lrs)
+        ref.step(lrs)
+        for name, p in flat_params.items():
+            assert np.array_equal(p.data, ref_params[name].data), (step, name)
+        if step == 3:
+            assert np.array_equal(flat_params[skipped].data, before)
+        flat.zero_grad()
+    assert all(p.grad is None for p in flat_params.values())
+
+
+@pytest.mark.parametrize("shared", ["name", "tensor"])
+def test_a_parameter_in_two_groups_is_rejected(shared):
+    a = Tensor(np.ones(2), requires_grad=True)
+    b = Tensor(np.ones(3), requires_grad=True)
+    second = {"a": b} if shared == "name" else {"b": a}
+    with pytest.raises(ConfigError, match="more than one"):
+        AdamW([ParamGroup("g", {"a": a}, base_lr=1e-3),
+               ParamGroup("h", second, base_lr=1e-3)])
