@@ -45,12 +45,8 @@ class SoftBatch:
 
     images: np.ndarray              # [b, c, h, w] float64
     targets: np.ndarray             # [b, num_classes]
-    flipped: np.ndarray | None = None   # [b] bool; all False if not given
+    flipped: np.ndarray             # [b] bool
     mixed: bool = False
-
-    def __post_init__(self):
-        if self.flipped is None:
-            self.flipped = np.zeros(len(self.images), dtype=bool)
 
 
 def one_hot(labels: np.ndarray, num_classes: int, smoothing: float) -> np.ndarray:
@@ -119,7 +115,7 @@ def augment_batch(images: np.ndarray, labels: np.ndarray, num_classes: int,
     partner permutation, then CutMix box coordinates.
     """
     b = images.shape[0]
-    flipped = None
+    flipped = np.zeros(b, bool)
     if cfg.hflip:
         flipped = stream.uniforms(b) < 0.5
         images = hflip(images, flipped)

@@ -137,9 +137,9 @@ def check_synthetic(classes: int, per_class_train: int, per_class_test: int,
 
 
 def generate_synthetic(num_classes: int, per_class_train: int,
-                       per_class_test: int, image_size: int = 16,
-                       channels: int = 3, difficulty: float = 0.5,
-                       seed: int = 7) -> LabeledDataset:
+                       per_class_test: int, *, image_size: int,
+                       channels: int = 3, difficulty: float,
+                       seed: int) -> LabeledDataset:
     """Deterministic toy dataset: class prototypes plus scaled noise."""
     check_synthetic(num_classes, per_class_train, per_class_test, image_size,
                     channels, difficulty)

@@ -269,30 +269,23 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
     return trace
 
 
-def _frozen_views(state: ModelState, images_u8: np.ndarray, hflip: bool):
-    """`rows(idx, flipped)`: eval-mode features of a `state` that does not
-    train, for `images_u8[idx]`, mirrored where `flipped` is set. Each image
-    is embedded once, and once more as its mirror, the view
-    `images_u8[..., ::-1]`, when `hflip` is on."""
+def _frozen_views(state: ModelState, images_u8: np.ndarray,
+                  hflip: bool) -> np.ndarray:
+    """Eval-mode features of a `state` that does not train: row i holds
+    image i's, and with `hflip` on, row n + i that of its mirror, the view
+    `images_u8[..., ::-1]`. Each view is embedded once."""
     every = np.arange(len(images_u8))
-    feats = embed(state, images_u8, every)
-    mirrored = embed(state, images_u8[..., ::-1], every) if hflip else None
-
-    def rows(idx, flipped):
-        out = feats[idx]
-        if mirrored is not None:
-            out[flipped] = mirrored[idx[flipped]]
-        return out
-
-    return rows
+    views = [images_u8, images_u8[..., ::-1]] if hflip else [images_u8]
+    return np.concatenate([embed(state, v, every) for v in views])
 
 
 def run_stage1(ctx: StepContext) -> StageTrace:
     """Train all parameters on replay + new data; returns per-epoch traces.
 
     With distillation on, a batch that Mixup and CutMix left alone gathers
-    the old model's features from `_frozen_views`. A mixed batch's pixels
-    blend two images, so it keeps a forward of its own.
+    the old model's features from `_frozen_views`, at rows
+    `idx + n * flipped`. A mixed batch's pixels blend two images, so it
+    keeps a forward of its own.
     """
     settings = ctx.settings
     images_u8, labels = _training_arrays(ctx)
@@ -306,7 +299,8 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     order_stream = ctx.stream.child("order")
     distill = ctx.old_state is not None and lam > 0.0
     if distill:
-        old_rows = _frozen_views(ctx.old_state, images_u8, settings.augment.hflip)
+        old_feats = _frozen_views(ctx.old_state, images_u8,
+                                  settings.augment.hflip)
     first_distill = []
 
     def old_features(idx, batch):
@@ -314,7 +308,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
         if batch.mixed:
             return forward_features(ctx.old_state, Tensor(batch.images),
                                     mode="eval").data
-        return old_rows(idx, batch.flipped)
+        return old_feats[idx + len(labels) * batch.flipped]
 
     def batch_loss(idx):
         raw = images_u8[idx].astype(np.float64) / 255.0
@@ -338,8 +332,8 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     """Classifier-only training on the balanced exemplar set (CE only).
 
     The backbone does not train here, so batches gather the stage-1
-    backbone's features from `_frozen_views`, a view per row, and train the
-    cosine head alone on them.
+    backbone's features from `_frozen_views`, at rows `idx + n * flipped`,
+    and train the cosine head alone on them.
     """
     settings = ctx.settings
     counts = ctx.store.counts()
@@ -349,7 +343,7 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
     images_u8, orig_labels = ctx.store.as_arrays()
     labels = ctx.label_map[orig_labels]
     num_classes = ctx.state.spec.num_classes
-    views = _frozen_views(ctx.state, images_u8, settings.augment.hflip)
+    feats = _frozen_views(ctx.state, images_u8, settings.augment.hflip)
 
     groups = build_param_groups(ctx.state, replace(
         settings, backbone_lr=settings.backbone_lr * FINETUNE_LR_SCALE))
@@ -362,11 +356,11 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
 
     def batch_loss(idx):
         flip = (flip_stream.uniforms(len(idx)) < 0.5 if settings.augment.hflip
-                else None)
+                else np.zeros(len(idx), bool))
         targets = one_hot(labels[idx], num_classes,
                           smoothing=settings.augment.label_smoothing)
-        return cross_entropy(cosine_logits(ctx.state, Tensor(views(idx, flip))),
-                             targets)
+        rows = feats[idx + len(labels) * flip]
+        return cross_entropy(cosine_logits(ctx.state, Tensor(rows)), targets)
 
     return _train_epochs(ctx, head, schedule, len(labels), order_stream,
                          batch_loss, stage="finetune")
@@ -481,8 +475,7 @@ def run_protocol(protocol: ProtocolConfig, dataset: LabeledDataset,
     each step runs `step_callback(report, state, store)`, if given."""
     plan = check_protocol_fits_data(protocol, dataset, settings)
     label_map = np.full(dataset.num_classes, -1, dtype=np.int64)
-    for model_idx, cid in enumerate(plan.class_order):
-        label_map[cid] = model_idx
+    label_map[plan.class_order] = np.arange(len(plan.class_order))
 
     root = SplitMix64(seed)
     spec = replace(model_spec, num_classes=protocol.initial_classes)

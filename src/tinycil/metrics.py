@@ -47,23 +47,22 @@ class StepReport:
     @classmethod
     def from_json_dict(cls, d) -> "StepReport":
         """The report whose `to_json_dict` is d. DataFormatError names the first
-        field that is not of its `_REPORT_TYPES` type."""
-        if not isinstance(d, dict) or set(d) != set(_REPORT_TYPES):
+        field, in declaration order, whose value is not of the JSON type
+        `_REPORT_TYPES` gives its annotation."""
+        types = {f.name: _REPORT_TYPES[f.type] for f in fields(cls)}
+        if not isinstance(d, dict) or set(d) != set(types):
             raise DataFormatError("a step report must be a JSON object with the "
-                                  f"fields {', '.join(_REPORT_TYPES)}")
-        for name, t in _REPORT_TYPES.items():
+                                  f"fields {', '.join(types)}")
+        for name, t in types.items():
             if not _is_json(d[name], t, d["n_classes"]):
                 raise DataFormatError(f"field {name!r} must be {t}")
         return cls(**{**d, "confusion": np.asarray(d["confusion"], dtype=np.int64)})
 
 
-# The JSON type of each field of a step report, in checking order: "[t]" is a
-# list of t, and "n x n" a list of n lists of n, n being the report's n_classes.
-_REPORT_TYPES = {"step": "int", "n_classes": "int", "top1": "number",
-                 "confusion": "n x n [[int]]", "bias_rate": "number", "eta": "number",
-                 "loss_trace": "[number]", "eta_trace": "[number]",
-                 "finetune_loss_trace": "[number]", "first_distill": "number or null",
-                 "wall_clock": "number"}
+# The JSON type of each annotation of a `StepReport` field: "[t]" is a list of
+# t, and "n x n" a list of n lists of n, n being the report's n_classes.
+_REPORT_TYPES = {"int": "int", "float": "number", "np.ndarray": "n x n [[int]]",
+                 "list[float]": "[number]", "float | None": "number or null"}
 
 
 def _is_json(v, t: str, n) -> bool:

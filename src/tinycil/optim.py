@@ -33,8 +33,6 @@ class ParamGroup:
 
 def scaled_base_lr(base_lr: float, batch_size: int) -> float:
     """Linear LR scaling: base_lr * batch_size / REFERENCE_BATCH."""
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     return base_lr * batch_size / REFERENCE_BATCH
 
 
@@ -66,7 +64,6 @@ class AdamW:
                 or len({id(p) for _, p in self._named}) < len(self._named)):
             raise ConfigError("a parameter appears in more than one optimizer group")
         self._data = np.concatenate([p.data for _, p in self._named], axis=None)
-        self._grad = np.empty_like(self._data)
         self._m, self._v = np.zeros((2, self._data.size))
         self._t = 0
         self._tensor_spans, self._group_spans, start = [], [], 0
@@ -90,8 +87,8 @@ class AdamW:
         if any(g is None for g in grads):
             spans = [span for span, g in zip(self._tensor_spans, grads) if g is not None]
             grads = [np.zeros(p.size) if g is None else g for g, (_, p) in zip(grads, self._named)]
-        np.concatenate(grads, axis=None, out=self._grad)
-        if not np.isfinite(self._grad).all():
+        grad = np.concatenate(grads, axis=None)
+        if not np.isfinite(grad).all():
             for name, p in self._named:
                 if p.grad is not None and not np.isfinite(p.grad).all():
                     raise TrainingDiverged(f"non-finite gradient in {name!r}")
@@ -100,7 +97,7 @@ class AdamW:
         bc2 = 1.0 - BETA2 ** self._t
         for group, start, stop in spans:
             lr = lrs[group.name]
-            p, g = self._data[start:stop], self._grad[start:stop]
+            p, g = self._data[start:stop], grad[start:stop]
             m, v = self._m[start:stop], self._v[start:stop]
             if group.weight_decay:
                 p *= (1.0 - lr * group.weight_decay)

@@ -517,19 +517,16 @@ def mean(a, axis=None) -> Tensor:
         np.ascontiguousarray(_expand_reduced(g, a.shape, axis)) / count,))
 
 
-def max_(a, axis=None) -> Tensor:
+def max_(a, axis: int) -> Tensor:
     """Max reduction; ties send the gradient to the first maximum only."""
     a = _coerce(a)
     out = Tensor(a.data.max(axis=axis))
 
     def _bw(g):
         mask = np.zeros_like(a.data)
-        if axis is None:
-            mask.flat[np.argmax(a.data)] = 1.0
-        else:
-            idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
-            np.put_along_axis(mask, idx, 1.0, axis=axis)
-        return (mask * _expand_reduced(g, a.shape, axis),)
+        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+        np.put_along_axis(mask, idx, 1.0, axis=axis)
+        return (mask * np.expand_dims(g, axis),)
 
     return _record(out, (a,), _bw)
 
@@ -659,11 +656,12 @@ def _taps(k: int, stride: int, padding: int, size: int, out: int) -> tuple:
 
 
 # Each row of the columns is padded by one cache line (8 float64s). Without
-# it, b*L a power of two (batch 256 or 512) puts the rows a multiple of
-# 4 KiB apart, the strided per-image blocks the forward GEMM reads all map
-# to the same cache sets, and the second stem conv's forward at batch 512
-# runs about 1.4x slower (best of 250 calls, one OpenBLAS thread on a
-# 2-vCPU Intel Xeon VM).
+# it, b*L a power of two (batch 256 or 512, and also batch 64 on 16-pixel
+# images, where the two stem convs have b*L 4096 and 1024) puts the rows a
+# multiple of 4 KiB apart, the strided per-image blocks the forward GEMM
+# reads all map to the same cache sets, and the second stem conv's forward
+# at batch 512 runs about 1.4x slower (best of 250 calls, one OpenBLAS
+# thread on a 2-vCPU Intel Xeon VM).
 _COL_ROW_PAD = 8
 
 

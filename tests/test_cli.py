@@ -294,7 +294,8 @@ def test_config_and_generator_reject_synthetic_data_in_the_same_words(key, value
         materialize({"data": {key: str(value)}})
     with pytest.raises(ConfigError) as from_data:
         generate_synthetic(d["classes"], d["per_class_train"], d["per_class_test"],
-                           d["image_size"], d["channels"], d["difficulty"])
+                           image_size=d["image_size"], channels=d["channels"],
+                           difficulty=d["difficulty"], seed=7)
     assert str(from_data.value).startswith(f"{key}: ")
     assert str(from_config.value) == f"data.{from_data.value}"
 
@@ -624,7 +625,7 @@ def _file_config(tmp_path, ds):
 def _file_config_keeping(tmp_path, keep):
     """TINY_CONFIG on a CILD file where class c keeps keep[c] training images;
     the rest of its training images move to the test split."""
-    ds = generate_synthetic(4, 8, 4, image_size=8, seed=3)
+    ds = generate_synthetic(4, 8, 4, image_size=8, difficulty=0.5, seed=3)
     moved = np.concatenate([ds.class_indices("train", c)[n:] for c, n in keep.items()])
     return _file_config(tmp_path, LabeledDataset(
         images=ds.images, labels=ds.labels, num_classes=4,
@@ -633,10 +634,11 @@ def _file_config_keeping(tmp_path, keep):
 
 
 @pytest.mark.parametrize("ds,match", [
-    pytest.param(replace(generate_synthetic(4, 8, 4, image_size=8, seed=3),
+    pytest.param(replace(generate_synthetic(4, 8, 4, image_size=8, difficulty=0.5,
+                                            seed=3),
                          images=np.zeros((48, 3, 8, 6), dtype=np.uint8)),
                  "dataset images must be square, got 8x6", id="non-square"),
-    pytest.param(generate_synthetic(3, 8, 4, image_size=8, seed=3),
+    pytest.param(generate_synthetic(3, 8, 4, image_size=8, difficulty=0.5, seed=3),
                  "protocol needs 4 classes, dataset has 3", id="too-few-classes"),
 ])
 def test_a_file_dataset_the_run_cannot_use_exit_2_before_writing(tmp_path, capsys,

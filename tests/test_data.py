@@ -88,7 +88,7 @@ def test_difficulty_zero_is_degenerate():
 @pytest.mark.parametrize("difficulty", [float("nan"), float("inf"), -5.0])
 def test_difficulty_out_of_range_rejected(difficulty):
     with pytest.raises(ConfigError, match="difficulty"):
-        generate_synthetic(3, 4, 2, image_size=8, difficulty=difficulty)
+        generate_synthetic(3, 4, 2, image_size=8, difficulty=difficulty, seed=7)
 
 
 @pytest.mark.parametrize("key,sizes", [
@@ -98,26 +98,26 @@ def test_difficulty_out_of_range_rejected(difficulty):
 ])
 def test_sizes_above_u16_rejected(key, sizes):
     args = dict(num_classes=1, per_class_train=1, per_class_test=1,
-                image_size=1, channels=1) | sizes
+                image_size=1, channels=1, difficulty=0.5, seed=7) | sizes
     with pytest.raises(ConfigError, match=key):
         generate_synthetic(**args)
 
 
 def test_same_seed_bit_identical():
-    a = generate_synthetic(4, 6, 3, seed=9)
-    b = generate_synthetic(4, 6, 3, seed=9)
+    a = generate_synthetic(4, 6, 3, image_size=16, difficulty=0.5, seed=9)
+    b = generate_synthetic(4, 6, 3, image_size=16, difficulty=0.5, seed=9)
     np.testing.assert_array_equal(a.images, b.images)
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
-# images of generate_synthetic(20, 64, 40, seed=11): computing the draws in
-# blocks and in place must not move a bit
+# images of generate_synthetic(20, 64, 40, image_size=16, difficulty=0.5,
+# seed=11): computing the draws in blocks and in place must not move a bit
 SYNTHETIC_20_64_40_SHA256 = \
     "9375a80b3b047bc9697ceba1e0f01f80a12db9879f51f8dab6c5614c3c27ca43"
 
 
 def test_synthetic_images_keep_their_bits():
-    ds = generate_synthetic(20, 64, 40, seed=11)
+    ds = generate_synthetic(20, 64, 40, image_size=16, difficulty=0.5, seed=11)
     assert hashlib.sha256(ds.images.tobytes()).hexdigest() == SYNTHETIC_20_64_40_SHA256
 
 
@@ -126,7 +126,7 @@ def test_synthetic_generation_peaks_below_three_times_its_images():
     # images is one class's samples plus one block of draws
     tracemalloc.start()
     try:
-        ds = generate_synthetic(20, 64, 40)
+        ds = generate_synthetic(20, 64, 40, image_size=16, difficulty=0.5, seed=7)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -134,7 +134,8 @@ def test_synthetic_generation_peaks_below_three_times_its_images():
 
 
 def test_split_shapes_and_counts():
-    ds = generate_synthetic(5, 8, 4, image_size=12, channels=2, seed=2)
+    ds = generate_synthetic(5, 8, 4, image_size=12, channels=2, difficulty=0.5,
+                            seed=2)
     assert ds.images.shape == (60, 2, 12, 12)
     assert len(ds.train_indices) == 40 and len(ds.test_indices) == 20
     for cid in range(5):
@@ -162,7 +163,7 @@ def test_nearest_mean_regression_floor():
 # --- CILD format ------------------------------------------------------------------
 
 def test_roundtrip_bit_exact(tmp_path):
-    ds = generate_synthetic(4, 5, 3, image_size=8, seed=5)
+    ds = generate_synthetic(4, 5, 3, image_size=8, difficulty=0.5, seed=5)
     path = tmp_path / "toy.cild"
     save_dataset(ds, path)
     loaded = load_dataset(path)
@@ -185,7 +186,7 @@ def test_bad_magic(tmp_path):
 
 
 def test_truncation_names_record(tmp_path):
-    ds = generate_synthetic(3, 4, 2, image_size=8, seed=6)
+    ds = generate_synthetic(3, 4, 2, image_size=8, difficulty=0.5, seed=6)
     path = tmp_path / "toy.cild"
     save_dataset(ds, path)
     blob = path.read_bytes()
@@ -197,7 +198,7 @@ def test_truncation_names_record(tmp_path):
 
 
 def test_label_out_of_range(tmp_path):
-    ds = generate_synthetic(3, 2, 1, image_size=4, seed=8)
+    ds = generate_synthetic(3, 2, 1, image_size=4, difficulty=0.5, seed=8)
     path = tmp_path / "toy.cild"
     save_dataset(ds, path)
     blob = bytearray(path.read_bytes())
@@ -209,7 +210,7 @@ def test_label_out_of_range(tmp_path):
 
 
 def test_overlapping_split_rejected(tmp_path):
-    ds = generate_synthetic(2, 3, 2, image_size=4, seed=9)
+    ds = generate_synthetic(2, 3, 2, image_size=4, difficulty=0.5, seed=9)
     ds.test_indices = ds.test_indices.copy()
     ds.test_indices[0] = ds.train_indices[0]
     path = tmp_path / "toy.cild"

@@ -262,7 +262,7 @@ def test_stage1_with_margin_ranking_trains():
 
     old = clone_state(ctx.state, requires_grad=False)
     grown = expand_classifier(ctx.state, 2, SplitMix64(13))
-    ds2 = generate_synthetic(4, 8, 4, image_size=8, seed=14)
+    ds2 = generate_synthetic(4, 8, 4, image_size=8, difficulty=0.5, seed=14)
     images, labels = ds2.subset("train", [2, 3])
     ctx2 = StepContext(step=2, old_class_ids=[0, 1], new_class_ids=[2, 3],
                        old_state=old, state=grown, store=ctx.store,
@@ -283,7 +283,8 @@ def _distill_ctx(settings, spec=TINY_SPEC):
     ctx, ds = make_ctx(epochs=1, settings=settings, seed=16, spec=spec)
     ctx.store.add_and_trim(construct_exemplars(ctx.state, ds, [0, 1], 4), 2)
     images, labels = generate_synthetic(
-        4, 8, 4, image_size=spec.image_size, seed=17).subset("train", [2, 3])
+        4, 8, 4, image_size=spec.image_size, difficulty=0.5,
+        seed=17).subset("train", [2, 3])
     return StepContext(step=2, old_class_ids=[0, 1], new_class_ids=[2, 3],
                        old_state=clone_state(ctx.state, requires_grad=False),
                        state=expand_classifier(ctx.state, 2, SplitMix64(18)),
@@ -468,6 +469,43 @@ def test_finetune_embeds_each_exemplar_once_per_view(monkeypatch, hflip, views):
     assert sum(embedded) == views * ctx.store.total_count()
 
 
+@pytest.mark.parametrize("hflip", [True, False])
+def test_finetune_cached_features_match_a_batch_forward(monkeypatch, hflip):
+    # each batch's head input is the eval-mode backbone feature of its
+    # exemplars, mirrored where the finetune's flip draw says so
+    import tinycil.engine as engine
+    ctx = _finetuned_ctx(tiny_settings(
+        augment=AugmentConfig(hflip=hflip, label_smoothing=0.0)))
+    images = ctx.store.as_arrays()[0].astype(np.float64) / 255.0
+    batches, head_inputs = [], []
+    epoch_batches, logits = engine._epoch_batches, engine.cosine_logits
+
+    def recording_batches(*args):
+        for idx in epoch_batches(*args):
+            batches.append(idx)
+            yield idx
+
+    def recording_logits(state, features):
+        head_inputs.append(features.data.copy())
+        return logits(state, features)
+
+    monkeypatch.setattr(engine, "_epoch_batches", recording_batches)
+    monkeypatch.setattr(engine, "cosine_logits", recording_logits)
+    run_balanced_finetune(ctx)
+    assert len(head_inputs) == len(batches) > 1
+    flip_stream = ctx.stream.child("finetune_flip")
+    flipped = 0
+    for idx, features in zip(batches, head_inputs):
+        flip = (flip_stream.uniforms(len(idx)) < 0.5 if hflip
+                else np.zeros(len(idx), bool))
+        batch = images[idx]
+        batch[flip] = batch[flip][..., ::-1]
+        expected = forward_features(ctx.state, Tensor(batch), mode="eval")
+        np.testing.assert_allclose(features, expected.data, rtol=0, atol=1e-12)
+        flipped += flip.sum()
+    assert (flipped > 0) == hflip
+
+
 def test_finetune_leaves_backbone_grads_unset(monkeypatch):
     ctx = _finetuned_ctx()
     step = AdamW.step
@@ -501,7 +539,7 @@ def test_finetune_trace_lengths():
 # --- protocol runner ------------------------------------------------------------------
 
 def test_single_step_protocol_degenerates_to_supervised():
-    ds = generate_synthetic(3, 12, 4, image_size=8, seed=7)
+    ds = generate_synthetic(3, 12, 4, image_size=8, difficulty=0.5, seed=7)
     protocol = ProtocolConfig(total_classes=3, initial_classes=3, increment=1,
                               budget=PerClass(4), epochs_initial=2, epochs_step=1)
     reports = run_protocol(protocol, ds, tiny_settings(), TINY_SPEC, seed=1)
@@ -512,7 +550,7 @@ def test_single_step_protocol_degenerates_to_supervised():
 
 
 def test_protocol_report_counts_and_coverage():
-    ds = generate_synthetic(6, 10, 4, image_size=8, seed=8)
+    ds = generate_synthetic(6, 10, 4, image_size=8, difficulty=0.5, seed=8)
     protocol = ProtocolConfig(total_classes=6, initial_classes=2, increment=2,
                               budget=Total(24), epochs_initial=1, epochs_step=1)
     reports = run_protocol(protocol, ds, tiny_settings(epochs_finetune=1),
@@ -525,7 +563,7 @@ def test_protocol_report_counts_and_coverage():
 
 
 def test_protocol_first_iteration_distill_near_zero():
-    ds = generate_synthetic(4, 10, 4, image_size=8, seed=9)
+    ds = generate_synthetic(4, 10, 4, image_size=8, difficulty=0.5, seed=9)
     protocol = ProtocolConfig(total_classes=4, initial_classes=2, increment=2,
                               budget=PerClass(4), epochs_initial=1, epochs_step=1)
     reports = run_protocol(protocol, ds, tiny_settings(epochs_finetune=1),
@@ -543,7 +581,7 @@ def test_protocol_old_snapshot_never_mutates():
     old = clone_state(ctx.state, requires_grad=False)
     old_hash = state_hash(old)
     grown = expand_classifier(ctx.state, 1, SplitMix64(77))
-    ds2 = generate_synthetic(3, 8, 4, image_size=8, seed=11)
+    ds2 = generate_synthetic(3, 8, 4, image_size=8, difficulty=0.5, seed=11)
     images, labels = ds2.subset("train", [2])
     ctx2 = StepContext(step=2, old_class_ids=[0, 1], new_class_ids=[2],
                        old_state=old, state=grown, store=ctx.store,
@@ -571,7 +609,7 @@ def test_context_rejects_overlapping_classes():
 def test_non_finite_gradient_names_its_step_epoch_and_batch(monkeypatch):
     # step 2's stage 1 trains on 8 exemplars + 24 new images in batches of 8:
     # four optimizer steps per epoch, so its sixth is epoch 1, batch 1
-    ds = generate_synthetic(4, 12, 4, image_size=8, seed=9)
+    ds = generate_synthetic(4, 12, 4, image_size=8, difficulty=0.5, seed=9)
     protocol = ProtocolConfig(total_classes=4, initial_classes=2, increment=2,
                               budget=PerClass(4), epochs_initial=1, epochs_step=2)
     stage1_steps, step2_updates = [], []

@@ -21,11 +21,12 @@ from tinycil.tensor import Tensor
 
 
 def _cild(path):
-    save_dataset(generate_synthetic(3, 2, 1, image_size=4, seed=1), path)
+    save_dataset(generate_synthetic(3, 2, 1, image_size=4, difficulty=0.5, seed=1),
+                 path)
 
 
 def _cilx(path):
-    ds = generate_synthetic(2, 3, 1, image_size=4, seed=2)
+    ds = generate_synthetic(2, 3, 1, image_size=4, difficulty=0.5, seed=2)
     store = ExemplarStore(Total(4))
     store.add_and_trim({c: ds.images[ds.class_indices("train", c)]
                         for c in range(2)}, 2)

@@ -21,7 +21,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tinycil").glob("*.py"))
-MAX_OPTIONS = 96
+MAX_OPTIONS = 92
 # the files whose names keep a public definition of `src/tinycil` reachable
 REACHING = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")),
             *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
