@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic CILD dataset")
     p.add_argument("--classes", type=int, required=True)
-    p.add_argument("--per-class", type=int, required=True)
+    p.add_argument("--per-class", dest="per_class_train", type=int, required=True)
     for key in ("per_class_test", "image_size", "channels", "difficulty", "seed"):
         default = DEFAULTS["data"][key]
         p.add_argument(f"--{key.replace('_', '-')}", type=type(default), default=default)
@@ -289,10 +289,7 @@ def cmd_ablate(args) -> int:
 # gen-data
 
 def cmd_gen_data(args) -> int:
-    ds = generate_synthetic(
-        num_classes=args.classes, per_class_train=args.per_class,
-        per_class_test=args.per_class_test, image_size=args.image_size,
-        channels=args.channels, difficulty=args.difficulty, seed=args.seed)
+    ds = _build_dataset({"data": dict(vars(args), source="synthetic")})
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     save_dataset(ds, out)

@@ -157,30 +157,26 @@ def parse_budget(raw: str) -> BudgetPolicy:
 
 
 def resolve_epochs_step(resolved: dict) -> int:
-    """Epochs per incremental step, from the override or the named preset."""
+    """Epochs per incremental step: the override, else the protocol shape's
+    preset. A named preset only checks that shape."""
     proto = resolved["protocol"]
     override = proto["epochs_step"]
     preset = proto["epoch_preset"]
-    half = proto["initial_classes"] * 2 == proto["total_classes"]
+    shape = ("half_start" if proto["initial_classes"] * 2 == proto["total_classes"]
+             else "cold_start")
     if preset not in ("auto", *EPOCH_PRESETS):
         raise ConfigError(f"protocol.epoch_preset: unknown preset {preset!r}")
-    if preset == "half_start" and not half:
-        raise ConfigError(
-            "protocol.epoch_preset: half_start requires initial_classes == "
-            "total_classes / 2")
-    if preset == "cold_start" and half:
-        raise ConfigError(
-            "protocol.epoch_preset: cold_start requires initial_classes != "
-            "total_classes / 2")
+    if preset not in ("auto", shape):
+        op = "==" if preset == "half_start" else "!="
+        raise ConfigError(f"protocol.epoch_preset: {preset} requires "
+                          f"initial_classes {op} total_classes / 2")
     if override:
         try:
             return int(override)
         except ValueError:
             raise ConfigError(
                 f"protocol.epochs_step: expected integer, got {override!r}") from None
-    if preset == "auto":
-        preset = "half_start" if half else "cold_start"
-    return EPOCH_PRESETS[preset]
+    return EPOCH_PRESETS[shape]
 
 
 def _validate(resolved: dict) -> None:

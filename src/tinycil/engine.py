@@ -108,13 +108,13 @@ class StageTrace:
 # ---------------------------------------------------------------------------
 # losses
 
-def adaptive_lambda(base: float, n_old: int, n_new: int) -> float:
-    """base * sqrt(n_old / n_new); zero before any old classes exist."""
+def adaptive_lambda(n_old: int, n_new: int) -> float:
+    """LAMBDA_BASE * sqrt(n_old / n_new); zero before any old classes exist."""
     if n_new < 1:
         raise ConfigError("n_new must be >= 1")
     if n_old == 0:
         return 0.0
-    return base * math.sqrt(n_old / n_new)
+    return LAMBDA_BASE * math.sqrt(n_old / n_new)
 
 
 def distill_loss(f_old: Tensor, f_new: Tensor) -> Tensor:
@@ -133,22 +133,22 @@ def cross_entropy(probs: Tensor, targets: np.ndarray) -> Tensor:
                                axis=1)))
 
 
-def margin_ranking_loss(scores: Tensor, hard_labels: np.ndarray, n_old: int,
-                        m: float, top_k: int) -> Tensor:
-    """Hinge at margin m on the top-K new-class cosine scores for old-class
-    samples; `scores` is the head's `[b, classes]` cosine-score matrix."""
+def margin_ranking_loss(scores: Tensor, hard_labels: np.ndarray,
+                        n_old: int) -> Tensor:
+    """Hinge at MARGIN on the MARGIN_TOP_K highest new-class cosine scores
+    for old-class samples; `scores` is the head's `[b, classes]` matrix."""
     labels = np.asarray(hard_labels, dtype=np.int64)
     rows = np.nonzero(labels < n_old)[0]
     n_new = scores.shape[1] - n_old
     if len(rows) == 0 or n_new < 1:
         return Tensor(0.0)
-    k = min(top_k, n_new)
+    k = min(MARGIN_TOP_K, n_new)
     sel = T.take(scores, rows, axis=0)
     y_score = T.take_along_axis(sel, labels[rows][:, None], axis=1)
     new_block = sel[:, n_old:]
     topk = np.argsort(-new_block.data, axis=1)[:, :k]
     negatives = T.take_along_axis(new_block, topk, axis=1)
-    hinge = T.relu(m - y_score + negatives)
+    hinge = T.relu(MARGIN - y_score + negatives)
     return T.mean(T.sum_(hinge, axis=1))
 
 
@@ -163,8 +163,7 @@ def total_loss(ctx: StepContext, images: Tensor, targets: np.ndarray,
     loss = cross_entropy(head_probs(ctx.state, scores), targets)
     if ctx.settings.margin_ranking:
         loss = loss + margin_ranking_loss(scores, hard_labels,
-                                          len(ctx.old_class_ids), MARGIN,
-                                          MARGIN_TOP_K)
+                                          len(ctx.old_class_ids))
     dis_value = None
     if f_old is not None:
         dis = distill_loss(f_old, feats)
@@ -239,9 +238,10 @@ def _epoch_batches(n: int, batch_size: int, order_stream: SplitMix64):
 def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
                   schedule: list[dict], n: int, order_stream: SplitMix64,
                   batch_loss, stage: str) -> StageTrace:
-    """Train the `groups` parameters on `batch_loss(idx)`, the scalar loss of
-    rows `idx` of the stage's n rows, which runs on an active tape; one epoch
-    per entry of `schedule`, each mapping a group name to its LR."""
+    """Train the `groups` parameters on `batch_loss(idx)`: on an active tape,
+    the scalar loss of rows `idx` of the stage's n rows and its distillation
+    value or None, which the trace keeps from epoch 0, batch 0. One epoch per
+    entry of `schedule`, each mapping a group name to its LR."""
     opt = AdamW(groups)
     trace = StageTrace(loss_trace=[], eta_trace=[])
     for epoch, lrs in enumerate(schedule):
@@ -250,7 +250,7 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
                                                       order_stream)):
             try:
                 with T.Tape() as tape:
-                    loss = batch_loss(idx)
+                    loss, dis_value = batch_loss(idx)
                 value = loss.item()
                 if not math.isfinite(value):
                     raise TrainingDiverged("non-finite loss")
@@ -264,6 +264,8 @@ def _train_epochs(ctx: StepContext, groups: list[ParamGroup],
             opt.zero_grad()
             clamp_temperature(ctx.state)
             epoch_losses.append(value)
+            if epoch == batch_no == 0:
+                trace.first_distill = dis_value
         trace.loss_trace.append(float(np.mean(epoch_losses)))
         trace.eta_trace.append(ctx.state.temperature)
     return trace
@@ -290,8 +292,7 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     settings = ctx.settings
     images_u8, labels = _training_arrays(ctx)
     num_classes = ctx.state.spec.num_classes
-    lam = adaptive_lambda(LAMBDA_BASE, len(ctx.old_class_ids),
-                          len(ctx.new_class_ids))
+    lam = adaptive_lambda(len(ctx.old_class_ids), len(ctx.new_class_ids))
     groups = build_param_groups(ctx.state, settings)
     schedule = _lr_schedule(groups, settings, ctx.epochs_stage1,
                             settings.warmup_epochs)
@@ -301,7 +302,6 @@ def run_stage1(ctx: StepContext) -> StageTrace:
     if distill:
         old_feats = _frozen_views(ctx.old_state, images_u8,
                                   settings.augment.hflip)
-    first_distill = []
 
     def old_features(idx, batch):
         # a constant: the old model's parameters are untracked, eval mode
@@ -315,17 +315,11 @@ def run_stage1(ctx: StepContext) -> StageTrace:
         batch = augment_batch(raw, labels[idx], num_classes, settings.augment,
                               augment_stream)
         f_old = Tensor(old_features(idx, batch)) if distill else None
-        loss, dis_value = total_loss(ctx, Tensor(batch.images), batch.targets,
-                                     hard_labels=labels[idx], f_old=f_old,
-                                     lam=lam)
-        if not first_distill:
-            first_distill.append(dis_value)
-        return loss
+        return total_loss(ctx, Tensor(batch.images), batch.targets,
+                          hard_labels=labels[idx], f_old=f_old, lam=lam)
 
-    trace = _train_epochs(ctx, groups, schedule, len(labels), order_stream,
-                          batch_loss, stage="stage-1")
-    trace.first_distill = first_distill[0]
-    return trace
+    return _train_epochs(ctx, groups, schedule, len(labels), order_stream,
+                         batch_loss, stage="stage-1")
 
 
 def run_balanced_finetune(ctx: StepContext) -> StageTrace:
@@ -360,7 +354,7 @@ def run_balanced_finetune(ctx: StepContext) -> StageTrace:
         targets = one_hot(labels[idx], num_classes,
                           smoothing=settings.augment.label_smoothing)
         rows = feats[idx + len(labels) * flip]
-        return cross_entropy(cosine_logits(ctx.state, Tensor(rows)), targets)
+        return cross_entropy(cosine_logits(ctx.state, Tensor(rows)), targets), None
 
     return _train_epochs(ctx, head, schedule, len(labels), order_stream,
                          batch_loss, stage="finetune")

@@ -467,7 +467,7 @@ def test_run_divergence_preserves_partial_reports(config_path, tmp_path,
     # poison the distillation weight: step 1 is clean (lambda unused), the
     # first batch of step 2 produces a non-finite loss
     monkeypatch.setattr(engine, "adaptive_lambda",
-                        lambda base, n_old, n_new: float("inf") if n_old else 0.0)
+                        lambda n_old, n_new: float("inf") if n_old else 0.0)
     out = tmp_path / "out"
     code = main(["run", "--config", str(config_path), "--out", str(out)])
     assert code == 1

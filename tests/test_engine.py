@@ -73,16 +73,16 @@ def make_ctx(n_classes=2, n_old=0, epochs=2, settings=None, seed=0,
 # --- adaptive lambda -------------------------------------------------------------
 
 def test_adaptive_lambda_zero_without_old():
-    assert adaptive_lambda(3.0, 0, 10) == 0.0
+    assert adaptive_lambda(0, 10) == 0.0
 
 
 def test_adaptive_lambda_paper_base():
-    assert adaptive_lambda(3.0, 50, 10) == pytest.approx(3 * math.sqrt(5))
-    assert adaptive_lambda(3.0, 50, 10) == pytest.approx(6.7082, abs=1e-4)
+    assert adaptive_lambda(50, 10) == pytest.approx(3 * math.sqrt(5))
+    assert adaptive_lambda(50, 10) == pytest.approx(6.7082, abs=1e-4)
 
 
 def test_adaptive_lambda_ratio_one():
-    assert adaptive_lambda(3.0, 7, 7) == 3.0
+    assert adaptive_lambda(7, 7) == 3.0
 
 
 # --- distillation -----------------------------------------------------------------
@@ -147,8 +147,7 @@ def test_margin_satisfied_is_zero():
     w = np.eye(3)
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0, 0.0]]))   # cos: [1, 0, 0]
-    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]),
-                               n_old=1, m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]), n_old=1)
     assert loss.item() == 0.0
 
 
@@ -158,17 +157,26 @@ def test_margin_hand_value():
     w = np.array([[0.6, 0.8], [0.4, math.sqrt(1 - 0.16)]])
     state = _margin_state(w)
     f = Tensor(np.array([[1.0, 0.0]]))
-    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]),
-                               n_old=1, m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]), n_old=1)
     assert loss.item() == pytest.approx(0.3, abs=1e-9)
 
 
 def test_margin_no_eligible_rows_is_zero():
     state = _margin_state(np.eye(3))
     f = Tensor(np.ones((2, 3)))
-    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([2, 2]),
-                               n_old=2, m=0.5, top_k=1)
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([2, 2]), n_old=2)
     assert loss.item() == 0.0
+
+
+def test_margin_sums_the_top_k_new_negatives():
+    # cos(true)=0.8 against new 0.9, 0.6, 0.4: hinges 0.6, 0.3, 0.1, so
+    # K = 1, 2, 3 give 0.6, 0.9, 1.0
+    cosines = np.array([0.8, 0.9, 0.6, 0.4])
+    state = _margin_state(np.stack([cosines, np.sqrt(1 - cosines ** 2)], axis=1))
+    f = Tensor(np.array([[1.0, 0.0]]))
+    loss = margin_ranking_loss(M.cosine_scores(state, f), np.array([0]), n_old=1)
+    assert E.MARGIN_TOP_K == 2
+    assert loss.item() == pytest.approx(0.9, abs=1e-12)
 
 
 def test_margin_with_mixup_rejected():

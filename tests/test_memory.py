@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,18 @@ def test_store_roundtrip(tmp_path):
     assert loaded.counts() == store.counts()
     for cid in store.class_ids():
         np.testing.assert_array_equal(loaded.images(cid), store.images(cid))
+
+
+def test_empty_store_header_bytes(tmp_path):
+    # a round trip alone would not see other header dims for an empty store
+    path = tmp_path / "empty.cilx"
+    save_store(ExemplarStore(Total(100)), path)
+    assert path.read_bytes() == (b"CILX" + struct.pack("<H", 1)
+                                 + struct.pack("<BI", 1, 100)
+                                 + struct.pack("<HHH", 0, 0, 0)
+                                 + struct.pack("<I", 0))
+    loaded = load_store(path)
+    assert loaded.class_ids() == [] and loaded.policy == Total(100)
 
 
 def test_store_as_arrays():

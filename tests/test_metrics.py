@@ -68,6 +68,16 @@ def test_bias_rate_twenty_percent():
     assert old_to_new_bias_rate(cm, 2) == pytest.approx(0.20)
 
 
+def test_bias_rate_with_one_old_class():
+    cm = np.array([[2, 1, 1], [0, 3, 0], [0, 0, 3]])
+    assert old_to_new_bias_rate(cm, 1) == 0.5
+
+
+def test_bias_rate_old_classes_without_test_samples_is_zero():
+    cm = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 3]])
+    assert old_to_new_bias_rate(cm, 2) == 0.0
+
+
 def test_bias_rate_zero_iff_upper_right_block_empty():
     rng = np.random.default_rng(1)
     for _ in range(20):
@@ -160,6 +170,14 @@ def test_evaluate_restricts_argmax_to_seen_classes():
     labels = rng.integers(0, 3, 20)
     top1, cm = evaluate(state, images, labels, 3)
     assert cm.shape == (3, 3)          # predictions never leave the range
+
+
+def test_evaluate_on_an_empty_test_set():
+    state, spec = _random_model()
+    top1, cm = evaluate(state, np.zeros((0, 3, 8, 8), dtype=np.uint8),
+                        np.zeros(0, dtype=np.int64), 6)
+    assert top1 == 0.0
+    np.testing.assert_array_equal(cm, np.zeros((6, 6)))
 
 
 # --- report files ---------------------------------------------------------------------

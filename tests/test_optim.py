@@ -39,6 +39,9 @@ def test_schedule_boundaries():
     mid = 5 + (19 - 5) // 2
     assert lr_at_epoch(1e-2, 1e-5, mid, 20, 5) == pytest.approx(
         (1e-2 + 1e-5) / 2, abs=1e-9)
+    # one epoch after warmup: it is the peak, with no cosine span to decay
+    assert lr_at_epoch(1.0, 0.1, 2, 3, 2) == 1.0
+    assert lr_at_epoch(1.0, 0.1, 1, 3, 2) == pytest.approx(0.55)
 
 
 def test_schedule_warmup_is_linear_from_min():

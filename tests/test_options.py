@@ -1,9 +1,11 @@
-"""The option count of `src/tinycil` does not grow, and no constant has two owners.
+"""The option count and the size of `src/tinycil` do not grow, and no constant
+has two owners.
 
 An option is a value a caller can set: a parameter with a default (keyword-only
 ones included) or an annotated field of a `@dataclass`. Each one multiplies
 the configurations the tests must cover, so an added option removes one
-elsewhere or raises MAX_OPTIONS in plain sight.
+elsewhere or raises MAX_OPTIONS in plain sight. The package's lines, counted
+as the benchmark counts them, are bounded by MAX_SRC_LINES in the same way.
 
 A constant is an upper-case name bound at module level. Two modules that
 define the same one can drift apart; one module owns it and the others import
@@ -22,6 +24,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "tinycil").glob("*.py"))
 MAX_OPTIONS = 92
+MAX_SRC_LINES = 3455
 # the files whose names keep a public definition of `src/tinycil` reachable
 REACHING = [*SOURCES, *sorted((ROOT / "perfbench").glob("*.py")),
             *sorted((ROOT / "demos").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
@@ -129,6 +132,14 @@ def test_option_count_does_not_grow():
     assert total <= MAX_OPTIONS, (
         f"src/tinycil has {total} options, above {MAX_OPTIONS}: "
         + ", ".join(f"{name} {n}" for name, n in per_module.items() if n))
+
+
+def test_source_lines_do_not_grow():
+    per_module = {path.name: len(path.read_text().splitlines()) for path in SOURCES}
+    total = sum(per_module.values())
+    assert total <= MAX_SRC_LINES, (
+        f"src/tinycil has {total} lines, above {MAX_SRC_LINES}: "
+        + ", ".join(f"{name} {n}" for name, n in per_module.items()))
 
 
 def test_no_constant_is_defined_in_two_modules():
