@@ -12,9 +12,12 @@ its input gradient, which a col2im scatters back. `linear` and `conv2d`
 decide when they run whether their input is tracked (`_needs_grad`); for an
 untracked input, such as the pixels the stems read, the backward forms no
 gradient toward it. Arrays are numpy throughout; the tape is a flat list of
-nodes, and each node is released as backward consumes it, so a batch's
-activations and backward closures die by refcount during the pass and no
-tape outlives its batch.
+nodes. A node holds `_Slot`s (gradient, shape, place on the tape), not
+tensors: its output's, and each input's that the tape tracked when the op
+recorded. Its backward closure holds only the arrays and shapes it reads (a
+taped GELU its derivative, a ReLU its mask), so an activation that no
+backward reads dies when the forward drops it, the rest as backward releases
+each node it consumes, and no tape outlives its batch.
 Gradients accumulate additively within a single backward pass; running
 backward twice on the same tape raises.
 
@@ -107,17 +110,25 @@ _keep_freed_heap_top()
 _pin_blas_to_one_thread()
 
 
+class _Slot:
+    """A tensor's autograd state, which tape nodes hold instead of the tensor:
+    its shape and gradient and, once an op records it, its tape and node index."""
+
+    __slots__ = ("shape", "grad", "tape", "index")
+
+    def __init__(self, shape, tape, index):
+        self.shape, self.grad, self.tape, self.index = shape, None, tape, index
+
+
 class Tensor:
     """A contiguous float64 array, optionally attached to the active tape."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_tape", "_node_index")
+    __slots__ = ("data", "requires_grad", "_slot")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._tape: Tape | None = None
-        self._node_index: int | None = None
+        self._slot = _Slot(self.data.shape, None, None) if requires_grad else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -128,9 +139,21 @@ class Tensor:
         return self.data.size
 
     @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._slot.grad = g               # only a tracked tensor has a gradient
+
+    @property
+    def _tape(self) -> Tape | None:
+        return None if self._slot is None else self._slot.tape
+
+    @property
     def tape_id(self) -> int | None:
         """Index of the node that produced this tensor on its tape, if any."""
-        return self._node_index
+        return None if self._slot is None else self._slot.index
 
     def item(self) -> float:
         return self.data.item()
@@ -161,6 +184,7 @@ class Tensor:
 
 
 class _Node:
+    # slots, not tensors; None for each input the tape did not track
     __slots__ = ("out", "inputs", "backward_fn")
 
     def __init__(self, out, inputs, backward_fn):
@@ -194,14 +218,17 @@ def active_tape() -> Tape | None:
     return stack[-1] if stack else None
 
 
-def _needs_grad(t: Tensor) -> bool:
-    """Whether an op recording now must form a gradient toward input t.
+def _tracked(t: Tensor, tape: Tape) -> _Slot | None:
+    """t's slot if an op recording on `tape` must form a gradient toward t:
+    an untracked input, or one left over from an earlier tape, is a constant."""
+    slot = t._slot
+    return slot if slot is not None and (t.requires_grad or slot.tape is tape) else None
 
-    Decided when the op runs: an untracked input, or one left over from an
-    earlier tape, is a constant to the active tape.
-    """
+
+def _needs_grad(t: Tensor) -> bool:
+    """Whether an op recording now must form a gradient toward input t."""
     tape = active_tape()
-    return tape is not None and (t.requires_grad or t._tape is tape)
+    return tape is not None and _tracked(t, tape) is not None
 
 
 def _coerce(x) -> Tensor:
@@ -211,11 +238,10 @@ def _coerce(x) -> Tensor:
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     tape = active_tape()
     if tape is not None:
-        for t in inputs:
-            if t.requires_grad or t._tape is tape:
-                out._tape, out._node_index = tape, len(tape._nodes)
-                tape._nodes.append(_Node(out, inputs, backward_fn))
-                break
+        slots = [_tracked(t, tape) for t in inputs]
+        if any(slots):
+            out._slot = _Slot(out.data.shape, tape, len(tape._nodes))
+            tape._nodes.append(_Node(out._slot, slots, backward_fn))
     return out
 
 
@@ -236,14 +262,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
         if g_out is None:
             continue
         grads = node.backward_fn(g_out)
-        for inp, g in zip(node.inputs, grads):
-            if g is None or not (inp.requires_grad or inp._tape is tape):
+        for slot, g in zip(node.inputs, grads):
+            if g is None or slot is None:
                 continue
-            if g.shape != inp.shape:
+            if g.shape != slot.shape:
                 op = node.backward_fn.__qualname__.split(".")[0]   # op.<locals>._bw
                 raise TapeError(f"{op} backward returned a gradient of shape "
-                                f"{g.shape} for an input of shape {inp.shape}")
-            inp.grad = g if inp.grad is None else inp.grad + g
+                                f"{g.shape} for an input of shape {slot.shape}")
+            slot.grad = g if slot.grad is None else slot.grad + g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,35 +287,33 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data + b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                           _unbroadcast(g, b.shape)))
+    out, sa, sb = Tensor(a.data + b.data), a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data - b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g, a.shape),
-                                           _unbroadcast(-g, b.shape)))
+    out, sa, sb = Tensor(a.data - b.data), a.shape, b.shape
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data * b.data)
-    return _record(out, (a, b), lambda g: (_unbroadcast(g * b.data, a.shape),
-                                           _unbroadcast(g * a.data, b.shape)))
+    x, y = a.data, b.data
+    return _record(Tensor(x * y), (a, b), lambda g: (_unbroadcast(g * y, x.shape),
+                                                     _unbroadcast(g * x, y.shape)))
 
 
 def div(a, b) -> Tensor:
     a, b = _coerce(a), _coerce(b)
-    out = Tensor(a.data / b.data)
+    x, y = a.data, b.data
 
     def _bw(g):
-        da = _unbroadcast(g / b.data, a.shape)
-        db = _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+        da = _unbroadcast(g / y, x.shape)
+        db = _unbroadcast(-g * x / (y * y), y.shape)
         return da, db
 
-    return _record(out, (a, b), _bw)
+    return _record(Tensor(x / y), (a, b), _bw)
 
 
 def neg(a) -> Tensor:
@@ -307,14 +331,15 @@ def exp(a) -> Tensor:
 
 def log(a) -> Tensor:
     a = _coerce(a)
-    out = Tensor(np.log(a.data))
-    return _record(out, (a,), lambda g: (g / a.data,))
+    x = a.data
+    return _record(Tensor(np.log(x)), (a,), lambda g: (g / x,))
 
 
 def relu(a) -> Tensor:
     a = _coerce(a)
     out = Tensor(np.maximum(a.data, 0.0))
-    return _record(out, (a,), lambda g: (g * (a.data > 0.0),))
+    mask = a.data > 0.0 if _needs_grad(a) else None       # kept only if the op records
+    return _record(out, (a,), lambda g: (g * mask,))
 
 
 # Cephes' erf and erfc (ndtr.c), which scipy.special.erf runs: x T(x^2)/U(x^2)
@@ -386,20 +411,23 @@ def _erf(x: np.ndarray) -> np.ndarray:
 
 
 def gelu(a) -> Tensor:
-    """Exact GELU: x * Phi(x)."""
+    """Exact GELU: x * Phi(x). A taped GELU keeps only its derivative,
+    Phi(x) + x * pdf(x), where pdf(x) = exp(-0.5 * x * x) / sqrt(2 pi)."""
     a = _coerce(a)
-    phi = _erf(a.data * _INV_SQRT2)
+    x = a.data
+    phi = _erf(x * _INV_SQRT2)
     phi += 1.0
     phi *= 0.5
     if not _needs_grad(a):                # no backward reads phi: reuse it
-        return Tensor(np.multiply(a.data, phi, out=phi))
-    out = Tensor(a.data * phi)
-
-    def _bw(g):
-        pdf = np.exp(-0.5 * a.data * a.data) * _INV_SQRT_2PI
-        return (g * (phi + a.data * pdf),)
-
-    return _record(out, (a,), _bw)
+        return Tensor(np.multiply(x, phi, out=phi))
+    out = Tensor(x * phi)
+    with np.errstate(over="ignore", invalid="ignore"):    # x * x = inf: pdf 0
+        d = np.multiply(-0.5, x)
+        d *= x
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        np.add(phi, np.multiply(x, d, out=d), out=d)
+    return _record(out, (a,), lambda g: (g * d,))
 
 
 # ---------------------------------------------------------------------------
@@ -412,14 +440,14 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions differ: {a.shape} x {b.shape}")
-    out = Tensor(np.matmul(a.data, b.data))
+    x, y = a.data, b.data
 
     def _bw(g):
-        da = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        db = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        da = _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)
+        db = _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)
         return da, db
 
-    return _record(out, (a, b), _bw)
+    return _record(Tensor(np.matmul(x, y)), (a, b), _bw)
 
 
 def linear(x, w, b) -> Tensor:
@@ -435,18 +463,18 @@ def linear(x, w, b) -> Tensor:
                          f"got {x.shape}, {w.shape} and {b.shape}")
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"linear inner dimensions differ: {x.shape} x {w.shape}")
-    y = np.matmul(x.data, w.data)
+    xd, wd = x.data, w.data
+    y = np.matmul(xd, wd)
     y += b.data
-    out = Tensor(y)
     want_dx = _needs_grad(x)
 
     def _bw(g):
         g2 = g.reshape(-1, g.shape[-1])
-        dw = np.matmul(x.data.reshape(-1, x.shape[-1]).T, g2)
-        dx = np.matmul(g, w.data.T) if want_dx else None
+        dw = np.matmul(xd.reshape(-1, xd.shape[-1]).T, g2)
+        dx = np.matmul(g, wd.T) if want_dx else None
         return dx, dw, g2.sum(axis=0)
 
-    return _record(out, (x, w, b), _bw)
+    return _record(Tensor(y), (x, w, b), _bw)
 
 
 def attention(qkv, heads: int, queries: int) -> Tensor:
@@ -503,32 +531,31 @@ def _expand_reduced(g: np.ndarray, shape: tuple[int, ...], axis):
 
 def sum_(a, axis=None) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.sum(axis=axis))
+    out, shape = Tensor(a.data.sum(axis=axis)), a.shape
     return _record(out, (a,), lambda g: (
-        np.ascontiguousarray(_expand_reduced(g, a.shape, axis)),))
+        np.ascontiguousarray(_expand_reduced(g, shape, axis)),))
 
 
 def mean(a, axis=None) -> Tensor:
     a = _coerce(a)
     total = np.add.reduce(a.data, axis)
-    count = a.data.size / np.size(total)
-    out = Tensor(total / count)
-    return _record(out, (a,), lambda g: (
-        np.ascontiguousarray(_expand_reduced(g, a.shape, axis)) / count,))
+    count, shape = a.data.size / np.size(total), a.shape
+    return _record(Tensor(total / count), (a,), lambda g: (
+        np.ascontiguousarray(_expand_reduced(g, shape, axis)) / count,))
 
 
 def max_(a, axis: int) -> Tensor:
     """Max reduction; ties send the gradient to the first maximum only."""
     a = _coerce(a)
-    out = Tensor(a.data.max(axis=axis))
+    x = a.data
 
     def _bw(g):
-        mask = np.zeros_like(a.data)
-        idx = np.expand_dims(np.argmax(a.data, axis=axis), axis)
+        mask = np.zeros_like(x)
+        idx = np.expand_dims(np.argmax(x, axis=axis), axis)
         np.put_along_axis(mask, idx, 1.0, axis=axis)
         return (mask * np.expand_dims(g, axis),)
 
-    return _record(out, (a,), _bw)
+    return _record(Tensor(x.max(axis=axis)), (a,), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +749,7 @@ def conv2d(x, kernel, stride: int, padding: int) -> Tensor:
 
     def _bw(g):
         g_k = g.reshape(b, c_out, L).transpose(1, 0, 2).reshape(c_out, b * L)
-        dkernel = np.matmul(g_k, cols.T).reshape(kernel.shape)
+        dkernel = np.matmul(g_k, cols.T).reshape(c_out, c, kh, kw)
         if not want_dx:
             return None, dkernel
         dcols = np.matmul(kflat.T, g_k).reshape(c, kh, kw, b, out_h, out_w)
@@ -740,8 +767,8 @@ def conv2d(x, kernel, stride: int, padding: int) -> Tensor:
 
 def reshape(a, shape) -> Tensor:
     a = _coerce(a)
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(a.shape),))
+    out, in_shape = Tensor(a.data.reshape(shape)), a.shape
+    return _record(out, (a,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(a, axes) -> Tensor:
@@ -767,10 +794,10 @@ def concat(tensors, axis: int) -> Tensor:
 def index(a, key) -> Tensor:
     """Basic (slice/int/ellipsis) indexing; use take* ops for array indices."""
     a = _coerce(a)
-    out = Tensor(a.data[key])
+    out, shape = Tensor(a.data[key]), a.shape
 
     def _bw(g):
-        dx = np.zeros_like(a.data)
+        dx = np.zeros(shape)
         dx[key] += g
         return (dx,)
 
@@ -783,11 +810,11 @@ def take(a, indices, axis: int) -> Tensor:
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"take expects 1-d indices, got shape {idx.shape}")
-    out = Tensor(np.take(a.data, idx, axis=axis))
-    axis %= a.data.ndim
+    out, shape = Tensor(np.take(a.data, idx, axis=axis)), a.shape
+    axis %= len(shape)
 
     def _bw(g):
-        dx = np.zeros_like(a.data)
+        dx = np.zeros(shape)
         np.add.at(dx, (slice(None),) * axis + (idx,), g)
         return (dx,)
 
@@ -798,10 +825,10 @@ def take_along_axis(a, indices, axis: int) -> Tensor:
     """Elementwise gather along an axis (duplicate indices accumulate)."""
     a = _coerce(a)
     idx = np.asarray(indices, dtype=np.int64)
-    out = Tensor(np.take_along_axis(a.data, idx, axis=axis))
+    out, shape = Tensor(np.take_along_axis(a.data, idx, axis=axis)), a.shape
 
     def _bw(g):
-        dx = np.zeros_like(a.data)
+        dx = np.zeros(shape)
         grid = list(np.indices(idx.shape))
         grid[axis] = idx
         np.add.at(dx, tuple(grid), g)

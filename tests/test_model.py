@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import sys
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+
+from helpers import gc_disabled
 
 from tinycil import model as M
 from tinycil import tensor as T
@@ -214,6 +217,55 @@ def test_tape_nodes_per_training_batch(stem, most):
         feats = M.forward_features(state, toy_images(32, spec), mode="train")
         cross_entropy(M.cosine_logits(state, feats), targets)
     assert len(tape) <= most
+
+
+def _weakref_outputs(op, refs):
+    """`op`, appending a weakref to each output array to `refs`."""
+    def spy(*args, **kwargs):
+        out = op(*args, **kwargs)
+        refs.append(weakref.ref(out.data))
+        return out
+    return spy
+
+
+def _conv_batch_grads(state, images, targets, monkeypatch=None, outputs=None):
+    """Backward of one taped conv-stem batch; returns each parameter's
+    gradient. With `outputs`, each op it names appends a weakref to its
+    output arrays of the forward there, and all of them must be dead before
+    backward."""
+    for name, refs in (outputs or {}).items():
+        monkeypatch.setattr(T, name, _weakref_outputs(getattr(T, name), refs))
+    with gc_disabled(), T.Tape() as tape:
+        feats = M.forward_features(state, images, mode="train")
+        if outputs:
+            monkeypatch.undo()
+        loss = cross_entropy(M.cosine_logits(state, feats), targets)
+        alive = {name: [ref() is not None for ref in refs]
+                 for name, refs in (outputs or {}).items()}
+        assert not any(map(any, alive.values())), alive
+    T.backward(tape, loss)
+    params = {**state.backbone, **state.classifier}
+    grads = {name: p.grad for name, p in params.items()}
+    for p in params.values():
+        p.grad = None
+    return grads
+
+
+def test_conv_stem_batch_frees_what_no_backward_reads(monkeypatch):
+    # batch norm keeps its normalized input, relu its mask and conv2d its
+    # columns, and add keeps shapes: the conv and batch-norm outputs, the
+    # concat and + pos_embed outputs and each residual sum die in the forward
+    spec = toy_spec(stem_kind="conv")
+    state = M.init_model(spec, SplitMix64(3))
+    images = toy_images(32, spec)
+    targets = np.eye(spec.num_classes)[np.arange(32) % spec.num_classes]
+    outputs = {"conv2d": [], "batch_norm": [], "concat": [], "add": []}
+    spied = _conv_batch_grads(state, images, targets, monkeypatch, outputs)
+    assert [len(refs) for refs in outputs.values()] == [2, 2, 1, 1 + 2 * spec.num_blocks]
+    plain = _conv_batch_grads(state, images, targets)
+    assert spied.keys() == plain.keys()
+    for name, g in spied.items():
+        assert g.tobytes() == plain[name].tobytes(), name
 
 
 # --- cosine head ---------------------------------------------------------------

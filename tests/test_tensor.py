@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import platform
 import threading
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -431,19 +433,40 @@ def test_backward_twice_raises():
         T.backward(tape, loss)
 
 
+def _probe_node(tape, index, probe, seen):
+    """Wrap node `index`'s backward, as perfbench's tracer does, so that each
+    call first appends `probe()` to `seen`."""
+    node = tape._nodes[index]
+    inner = node.backward_fn
+
+    def wrapped(g):
+        seen.append(probe())
+        return inner(g)
+
+    node.backward_fn = wrapped
+
+
 def test_backward_releases_each_node_as_it_walks():
     with gc_disabled():
         x = T.Tensor(RNG(0).normal(size=(4, 3)), requires_grad=True)
+        w = T.Tensor(np.ones((2, 2)), requires_grad=True)
         with T.Tape() as tape:
-            h = T.gelu(T.matmul(x, T.Tensor(np.ones((3, 2)))))
-            loss = T.sum_(h)
-        activation = weakref.ref(h.data)
-        del h
-        assert len(tape) == 3 and activation() is not None
+            pre = T.matmul(x, T.Tensor(np.ones((3, 2))))
+            h = T.gelu(pre)                   # keeps its derivative, not pre
+            y = T.matmul(h, w)                # keeps h
+            loss = T.sum_(y)
+        unread, read = weakref.ref(pre.data), weakref.ref(h.data)
+        del pre, h
+        assert len(tape) == 4
+        assert unread() is None and read() is not None
+        seen = []
+        for node in (y.tape_id, y.tape_id - 1):         # the second matmul, gelu
+            _probe_node(tape, node, lambda: read() is not None, seen)
         T.backward(tape, loss)
-        assert len(tape) == 0
-        assert activation() is None
-        assert x.grad is not None
+        # h lives while the second matmul's node is walked and dies with it
+        assert seen == [True, False]
+        assert len(tape) == 0 and read() is None
+        assert x.grad is not None and w.grad is not None
         with pytest.raises(TapeError):
             T.backward(tape, loss)
 
@@ -591,6 +614,60 @@ ERF_EDGES = np.array([
     np.nextafter(np.sqrt(T._MAXLOG), 99.0), 26.0, 27.0, 1e10, 1e200, -1e308,
     np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
     -1e-310, 1e-300, 0.5, -3.0])
+
+
+def _input_grad(op, x, g):
+    """The gradient toward x of sum(op(x) * g), through the tape."""
+    t = T.Tensor(x, requires_grad=True)
+    with T.Tape() as tape, np.errstate(invalid="ignore"):     # -inf * 0
+        loss = T.sum_(T.mul(op(t), g))
+    T.backward(tape, loss)
+    return t.grad
+
+
+def test_gelu_and_relu_backward_are_the_closed_forms_bit_for_bit():
+    # erf reads x / sqrt(2): |x| > sqrt(2) takes its other branch
+    rng = RNG(33)
+    x = np.concatenate([ERF_EDGES, -ERF_EDGES, rng.standard_normal(5000) * 3.0,
+                        [np.sqrt(2.0), -np.sqrt(2.0), 0.0, -0.0, np.nan]])
+    assert (np.abs(x) > np.sqrt(2.0)).sum() > 1000 and (np.abs(x) < 1.0).sum() > 1000
+    g = rng.standard_normal(x.shape)
+    phi = T._erf(x * T._INV_SQRT2)
+    phi += 1.0
+    phi *= 0.5
+    with np.errstate(over="ignore", invalid="ignore"):
+        closed = {T.gelu: g * (phi + x * (np.exp(-0.5 * x * x) * T._INV_SQRT_2PI)),
+                  T.relu: g * (x > 0.0)}
+    for op, want in closed.items():
+        got = _input_grad(op, x, g)
+        # bit patterns, so the sign of zero and of NaN count too
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), op.__name__
+
+
+def test_taped_gelu_on_overflowing_squares_warns_nothing():
+    # x * x overflows to inf: the pdf is 0, not a warning
+    x = np.array([1e200, -1e200, 1e300, -1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad = _input_grad(T.gelu, x, np.ones(4))
+    assert grad.tolist() == [1.0, 0.0, 1.0, 0.0]
+
+
+# Peak allocation of an untracked forward, in units of the input's size: the
+# output, plus `_erf`'s blocks for a GELU. A ReLU mask would add 1/8, a GELU
+# derivative 1.
+@pytest.mark.parametrize("op,bound", [(T.relu, 1.05), (T.gelu, 1.6)])
+def test_untracked_relu_and_gelu_keep_no_mask_or_derivative(op, bound):
+    x = T.Tensor(RNG(34).uniform(-3.0, 3.0, (128, 8192)))          # 8 MiB
+    with T.Tape() as tape:
+        tracemalloc.start()
+        try:
+            out = op(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(tape) == 0 and out._slot is None
+    assert peak < x.data.nbytes * bound, peak / x.data.nbytes
 
 
 @pytest.mark.parametrize("scale", [0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 30.0])
