@@ -68,9 +68,6 @@ def mixup(batch: SoftBatch, lam: float, stream: SplitMix64) -> SoftBatch:
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must be in [0,1], got {lam}")
     b = batch.images.shape[0]
-    if b < 2:
-        return replace(batch, images=batch.images.copy(),
-                       targets=batch.targets.copy())
     perm = stream.permutation(b)
     images = lam * batch.images + (1.0 - lam) * batch.images[perm]
     targets = lam * batch.targets + (1.0 - lam) * batch.targets[perm]
@@ -94,9 +91,6 @@ def cutmix(batch: SoftBatch, lam_area: float, stream: SplitMix64) -> SoftBatch:
     if not 0.0 <= lam_area <= 1.0:
         raise ValueError(f"lam_area must be in [0,1], got {lam_area}")
     b, _, h, w = batch.images.shape
-    if b < 2:
-        return replace(batch, images=batch.images.copy(),
-                       targets=batch.targets.copy())
     perm = stream.permutation(b)
     y0, x0, y1, x1 = _paste_box(h, w, lam_area, stream)
     weight = ((y1 - y0) * (x1 - x0)) / (h * w)

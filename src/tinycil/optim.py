@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError, TapeError, TrainingDiverged
 from .tensor import Tensor
 
 REFERENCE_BATCH = 512
@@ -55,7 +55,8 @@ class AdamW:
     """Decoupled weight decay Adam over the tensors its groups hold, with β1,
     β2 and ε fixed at BETA1, BETA2 and ADAM_EPS. Each tensor's `.data` becomes
     its view of one vector, group after group, and a step updates one group's
-    slice at a time; a tensor whose `.grad` is None keeps its data and moments."""
+    slice at a time. A `.grad` that is None (TapeError) or not finite stops a
+    step before any parameter, moment or the step count moves."""
 
     def __init__(self, groups: list[ParamGroup]):
         self.groups = groups
@@ -66,15 +67,13 @@ class AdamW:
         self._data = np.concatenate([p.data for _, p in self._named], axis=None)
         self._m, self._v = np.zeros((2, self._data.size))
         self._t = 0
-        self._tensor_spans, self._group_spans, start = [], [], 0
+        self._spans, start = [], 0
         for group in groups:
             first = start
             for p in group.params.values():
-                stop = start + p.data.size
-                p.data = self._data[start:stop].reshape(p.data.shape)
-                self._tensor_spans.append((group, start, stop))
-                start = stop
-            self._group_spans.append((group, first, start))
+                p.data = self._data[start:start + p.data.size].reshape(p.data.shape)
+                start += p.data.size
+            self._spans.append((group, first, start))
 
     def zero_grad(self) -> None:
         for _, p in self._named:
@@ -82,20 +81,17 @@ class AdamW:
 
     def step(self, lrs: dict[str, float]) -> None:
         """One update; `lrs` maps group name to this step's learning rate."""
-        grads = [p.grad for _, p in self._named]
-        spans = self._group_spans
-        if any(g is None for g in grads):
-            spans = [span for span, g in zip(self._tensor_spans, grads) if g is not None]
-            grads = [np.zeros(p.size) if g is None else g for g, (_, p) in zip(grads, self._named)]
-        grad = np.concatenate(grads, axis=None)
+        if missing := [name for name, p in self._named if p.grad is None]:
+            raise TapeError(f"no gradient for {missing}: the loss must reach every parameter")
+        grad = np.concatenate([p.grad for _, p in self._named], axis=None)
         if not np.isfinite(grad).all():
             for name, p in self._named:
-                if p.grad is not None and not np.isfinite(p.grad).all():
+                if not np.isfinite(p.grad).all():
                     raise TrainingDiverged(f"non-finite gradient in {name!r}")
         self._t += 1
         bc1 = 1.0 - BETA1 ** self._t
         bc2 = 1.0 - BETA2 ** self._t
-        for group, start, stop in spans:
+        for group, start, stop in self._spans:
             lr = lrs[group.name]
             p, g = self._data[start:stop], grad[start:stop]
             m, v = self._m[start:stop], self._v[start:stop]

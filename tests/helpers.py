@@ -106,8 +106,7 @@ def one_shot_normals(stream, shape, std: float) -> np.ndarray:
 
 class ReferenceAdamW:
     """`optim.AdamW` as one loop over its tensors, with a moment pair per
-    tensor: the update a flat-vector optimizer must reproduce bit for bit.
-    A tensor whose `.grad` is None is skipped, its moments included."""
+    tensor: the update a flat-vector optimizer must reproduce bit for bit."""
 
     def __init__(self, groups):
         self.groups = groups
@@ -125,8 +124,6 @@ class ReferenceAdamW:
             lr = lrs[group.name]
             for name, p in group.params.items():
                 g = p.grad
-                if g is None:
-                    continue
                 if group.weight_decay:
                     p.data *= (1.0 - lr * group.weight_decay)
                 m = self._m[name]

@@ -54,17 +54,6 @@ def test_mixup_pixel_identity():
     np.testing.assert_allclose(out.images, 0.3 * images + 0.7 * images[perm])
 
 
-@pytest.mark.parametrize("mix", [mixup, cutmix], ids=["mixup", "cutmix"])
-def test_mix_batch_of_one_passes_through(mix):
-    images, labels = _batch(b=1)
-    batch = SoftBatch(images, one_hot(labels, 10, smoothing=0.0),
-                      np.zeros(len(images), bool))
-    out = mix(batch, 0.4, SplitMix64(5))
-    np.testing.assert_array_equal(out.images, images)
-    np.testing.assert_array_equal(out.targets, batch.targets)
-    assert not out.mixed
-
-
 # --- cutmix --------------------------------------------------------------------
 
 def test_cutmix_zero_area_is_identity():
@@ -202,11 +191,15 @@ def test_flipped_is_all_false_without_hflip(monkeypatch):
     ((AugmentConfig(), 0.0), 6),
 ])
 def test_unmixed_batches_say_so(monkeypatch, cfg, b):
+    # an unmixed batch, a batch of one included, passes its images (mirrored
+    # where `flipped` says) and its smoothed one-hot targets through
     cfg, mix_prob = cfg
     monkeypatch.setattr(augment, "MIX_PROB", mix_prob)
     images, labels = _batch(b=b, seed=18)
     out = augment_batch(images, labels, 10, cfg, SplitMix64(19))
     assert not out.mixed
+    np.testing.assert_array_equal(out.images, hflip(images, out.flipped))
+    np.testing.assert_array_equal(out.targets, one_hot(labels, 10, cfg.label_smoothing))
 
 
 @pytest.mark.parametrize("mixup,cutmix", [(True, False), (False, True), (True, True)])

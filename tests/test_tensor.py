@@ -424,6 +424,18 @@ def test_backward_half_sum_of_squares_gives_x():
     np.testing.assert_allclose(x.grad, x.data)
 
 
+def test_backward_skips_a_node_the_loss_does_not_reach():
+    # a value recorded on the tape but not used by the loss (say, a logged
+    # metric) gets no gradient, and its backward never runs
+    x = T.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with T.Tape() as tape:
+        unused = T.exp(x)
+        loss = T.sum_(T.mul(x, 3.0))
+    T.backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, np.full(3, 3.0))
+    assert unused.grad is None
+
+
 def test_backward_twice_raises():
     x = T.Tensor(np.ones(3), requires_grad=True)
     with T.Tape() as tape:
